@@ -271,11 +271,10 @@ BENCHMARK(BM_ProbeAlgebraBitmap)->Unit(benchmark::kMicrosecond);
 // consume it. So these benches run on their own larger workload — a
 // 400k-paper universe (~6250 words, ~50 KB per leaf bitmap, ~2.4 MB for the
 // 48 preference leaves: past L2 on this box). The frontier benchmarks probe
-// the same 512 mixed combinations scalar vs one CountBatch; the pair-table
-// benchmarks rebuild the PEPS pair table (the C(48,2) upper triangle); the
-// Cold variants use a fresh engine per iteration, so they include leaf
-// loading — 48 on-demand leaf queries scalar vs one bulk prefetch pass
-// batched.
+// the same 512 mixed combinations one CombinationProber::Count at a time vs
+// one CountBatch; the pair-table benchmarks rebuild the PEPS pair table (the
+// C(48,2) upper triangle); the Cold variants use a fresh engine per
+// iteration, so they include leaf loading (one bulk prefetch pass).
 
 struct BatchBench {
   std::unique_ptr<Workload> w;
@@ -360,11 +359,11 @@ BENCHMARK(BM_FrontierProbeBatch)
 
 // --- Work-stealing runtime + SIMD word kernels -------------------------------
 //
-// The scaling benches pit the PR 2 static split against the work-stealing
-// TaskPool on the same 512-combination frontier (uniform) and on a skewed
-// frontier (many 1-member combinations plus a block of 48-member ones) where
-// static per-tile seeding is maximally unbalanced. Arg(0) = num_threads; the
-// pool is a persistent 8-slot TaskPool so >hardware_concurrency thread
+// The scaling benches run the work-stealing TaskPool on the same
+// 512-combination frontier (uniform) and on a skewed frontier (many 1-member
+// combinations plus a block of 48-member ones) where static per-tile seeding
+// would be maximally unbalanced. Arg(0) = num_threads; the pool is a
+// persistent 8-slot TaskPool so >hardware_concurrency thread
 // counts still exercise real stealing on small machines. The kernel benches
 // isolate the SIMD word loops (scalar vs compiled-in best) on a bitmap-sized
 // buffer so the speedup is attributable separately from scheduling.
@@ -394,13 +393,10 @@ const std::vector<core::Combination>* GetSkewedFrontier() {
   return frontier;
 }
 
-void RunFrontierScheduled(benchmark::State& state,
-                          core::ProbeScheduler scheduler, bool simd,
-                          bool skewed) {
+void RunFrontierScheduled(benchmark::State& state, bool simd, bool skewed) {
   BatchBench* b = GetBatchBench();
   core::ProbeOptions options;
   options.num_threads = static_cast<size_t>(state.range(0));
-  options.scheduler = scheduler;
   options.simd = simd;
   if (options.num_threads != 1) options.pool = BenchPool();
   core::BatchProber batch(b->prober.get(), options);
@@ -414,37 +410,20 @@ void RunFrontierScheduled(benchmark::State& state,
       static_cast<int64_t>(state.iterations() * frontier.size()));
 }
 
-void BM_FrontierStaticSplit(benchmark::State& state) {
-  RunFrontierScheduled(state, core::ProbeScheduler::kStaticSplit,
-                       /*simd=*/true, /*skewed=*/false);
-}
 void BM_FrontierWorkStealing(benchmark::State& state) {
-  RunFrontierScheduled(state, core::ProbeScheduler::kWorkStealing,
-                       /*simd=*/true, /*skewed=*/false);
+  RunFrontierScheduled(state, /*simd=*/true, /*skewed=*/false);
 }
 void BM_FrontierWorkStealingScalar(benchmark::State& state) {
-  RunFrontierScheduled(state, core::ProbeScheduler::kWorkStealing,
-                       /*simd=*/false, /*skewed=*/false);
-}
-void BM_SkewedFrontierStaticSplit(benchmark::State& state) {
-  RunFrontierScheduled(state, core::ProbeScheduler::kStaticSplit,
-                       /*simd=*/true, /*skewed=*/true);
+  RunFrontierScheduled(state, /*simd=*/false, /*skewed=*/false);
 }
 void BM_SkewedFrontierWorkStealing(benchmark::State& state) {
-  RunFrontierScheduled(state, core::ProbeScheduler::kWorkStealing,
-                       /*simd=*/true, /*skewed=*/true);
+  RunFrontierScheduled(state, /*simd=*/true, /*skewed=*/true);
 }
-BENCHMARK(BM_FrontierStaticSplit)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_FrontierWorkStealing)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_FrontierWorkStealingScalar)
     ->Arg(1)->Arg(8)
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_SkewedFrontierStaticSplit)
-    ->Arg(8)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_SkewedFrontierWorkStealing)
     ->Arg(8)
@@ -503,11 +482,9 @@ void BM_PopcountKernelActive(benchmark::State& state) {
 BENCHMARK(BM_PopcountKernelScalar);
 BENCHMARK(BM_PopcountKernelActive);
 
-void RunPairTable(benchmark::State& state, bool batching, bool cold,
-                  size_t num_threads = 1) {
+void RunPairTable(benchmark::State& state, bool cold, size_t num_threads = 1) {
   BatchBench* b = GetBatchBench();
   core::ProbeOptions options;
-  options.batching = batching;
   options.num_threads = num_threads;
   if (num_threads != 1) options.pool = BenchPool();
   for (auto _ : state) {
@@ -528,27 +505,19 @@ void RunPairTable(benchmark::State& state, bool batching, bool cold,
   }
 }
 
-void BM_PepsPairTableScalar(benchmark::State& state) {
-  RunPairTable(state, /*batching=*/false, /*cold=*/false);
-}
 void BM_PepsPairTableBatch(benchmark::State& state) {
-  RunPairTable(state, /*batching=*/true, /*cold=*/false);
-}
-void BM_PepsPairTableColdScalar(benchmark::State& state) {
-  RunPairTable(state, /*batching=*/false, /*cold=*/true);
+  RunPairTable(state, /*cold=*/false);
 }
 void BM_PepsPairTableColdBatch(benchmark::State& state) {
-  RunPairTable(state, /*batching=*/true, /*cold=*/true);
+  RunPairTable(state, /*cold=*/true);
 }
 void BM_PepsPairTableColdBatchWS(benchmark::State& state) {
   // Cold pair table on the work-stealing pool: bulk leaf prefetch
   // first-touches the bitmaps on the pool's workers, then the C(48,2)
   // pair-count batch fans out over the same slots.
-  RunPairTable(state, /*batching=*/true, /*cold=*/true, /*num_threads=*/8);
+  RunPairTable(state, /*cold=*/true, /*num_threads=*/8);
 }
-BENCHMARK(BM_PepsPairTableScalar)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_PepsPairTableBatch)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_PepsPairTableColdScalar)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_PepsPairTableColdBatch)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_PepsPairTableColdBatchWS)->Unit(benchmark::kMillisecond);
 

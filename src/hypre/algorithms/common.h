@@ -11,10 +11,9 @@
 // bounds how many combination probes a run may spend (with a truncation
 // verdict when it stops early), and streaming sinks that receive records /
 // ranked tuples as they are produced instead of only in the final vector.
-// Budgets are charged at the SAME granularity on the batched and scalar
-// paths (a generation/frontier is admitted as a prefix before it is
-// probed), so a budgeted run emits byte-identical records whether batching
-// is on or off.
+// Budgets are charged per generation/frontier (admitted as a prefix before
+// it is probed), so a budgeted run emits byte-identical records whatever
+// the thread count or word kernels.
 #pragma once
 
 #include <algorithm>

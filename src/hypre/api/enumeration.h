@@ -83,7 +83,8 @@ struct EnumerationRequest {
   /// members, expansion candidates, bias-random checks, TA sorted-access
   /// rounds) this request may spend. 0 = unlimited. A budgeted run stops
   /// early with EnumerationResult::truncated set; the records produced up
-  /// to that point are byte-identical whether batching is on or off.
+  /// to that point are byte-identical for every thread count and word
+  /// kernel set.
   /// The budget meters per-request probe work only: leaf-bitmap
   /// materialization is engine-lifetime shared warm-up (one DB query per
   /// DISTINCT leaf, reused by every later request over the same query
@@ -130,12 +131,12 @@ struct EnumerationResult {
   /// Engine epoch the request probed (see ProbeEngine::epoch()).
   uint64_t epoch = 0;
   /// True when the probe budget ran dry before the algorithm finished.
-  /// The output is deterministic (and identical batched or scalar), but
-  /// incomplete: for the generation-ordered algorithms ("exhaustive",
-  /// "combine-two", "partially-combine-all", "bias-random") it is the
-  /// prefix of the unbounded run's probe sequence; for "peps" and "ta" —
-  /// which re-rank intermediate state (pair table, graded lists) before
-  /// emitting — it is a subset that may order differently than the
+  /// The output is deterministic (identical for every thread count and word
+  /// kernel set), but incomplete: for the generation-ordered algorithms
+  /// ("exhaustive", "combine-two", "partially-combine-all", "bias-random")
+  /// it is the prefix of the unbounded run's probe sequence; for "peps" and
+  /// "ta" — which re-rank intermediate state (pair table, graded lists)
+  /// before emitting — it is a subset that may order differently than the
   /// unbounded run, so re-run with a larger budget rather than paginating.
   bool truncated = false;
   /// "bias-random" extras: probes that returned >= 1 tuple / nothing.

@@ -16,8 +16,7 @@ namespace {
 
 /// Shards a kernel pass walks over `num_words` words — the batch-shape unit
 /// reported into ProbeStats. Stats stay tile-layout-independent: the same
-/// batch reports the same shard count whether it ran inline, split, or
-/// work-stolen.
+/// batch reports the same shard count whether it ran inline or work-stolen.
 size_t NumShards(const ProbeOptions& options, size_t num_words) {
   size_t shard_words = std::max<size_t>(1, options.shard_words);
   return (num_words + shard_words - 1) / shard_words;
@@ -129,9 +128,7 @@ BatchProber::TileGrid BatchProber::MakeGrid(size_t num_words,
 }
 
 parallel::TaskPool* BatchProber::SchedulePool(size_t slots) const {
-  if (slots <= 1 || options_.scheduler != ProbeScheduler::kWorkStealing) {
-    return nullptr;
-  }
+  if (slots <= 1) return nullptr;
   return options_.pool != nullptr ? options_.pool
                                   : parallel::TaskPool::Shared();
 }
@@ -156,26 +153,8 @@ void BatchProber::ForEachTile(const TileGrid& grid, size_t slots,
     return;
   }
 
-  if (options_.scheduler == ProbeScheduler::kStaticSplit) {
-    // Balanced contiguous split (PartitionRange: sizes differ by at most
-    // one, no empty ranges) on per-batch threads; the caller runs part 0.
-    size_t parts = std::min(slots, num_tiles);
-    std::vector<std::thread> workers;
-    workers.reserve(parts - 1);
-    for (size_t p = 1; p < parts; ++p) {
-      parallel::Range r = parallel::PartitionRange(num_tiles, parts, p);
-      workers.emplace_back([&run_tile, r, p] {
-        for (size_t t = r.begin; t < r.end; ++t) run_tile(t, p);
-      });
-    }
-    parallel::Range r0 = parallel::PartitionRange(num_tiles, parts, 0);
-    for (size_t t = r0.begin; t < r0.end; ++t) run_tile(t, 0);
-    for (auto& worker : workers) worker.join();
-    return;
-  }
-
   parallel::TaskPool* pool = SchedulePool(slots);
-  pool->ParallelFor(num_tiles, options_.grain, slots,
+  pool->ParallelFor(num_tiles, /*grain=*/0, slots,
                     [&run_tile](size_t begin, size_t end, size_t slot) {
                       for (size_t t = begin; t < end; ++t) run_tile(t, slot);
                     });
@@ -262,18 +241,6 @@ Result<std::vector<size_t>> BatchProber::CountBatch(
                                       NumShards(options_, plan.num_words));
   HYPRE_TELEMETRY_STMT(
       RecordBatchShape(frontier.size(), NumShards(options_, plan.num_words)));
-  return counts;
-}
-
-Result<std::vector<size_t>> BatchProber::CountMaybeBatched(
-    const std::vector<Combination>& frontier) const {
-  if (options_.batching) return CountBatch(frontier);
-  std::vector<size_t> counts;
-  counts.reserve(frontier.size());
-  for (const Combination& combination : frontier) {
-    HYPRE_ASSIGN_OR_RETURN(size_t count, prober_->Count(combination));
-    counts.push_back(count);
-  }
   return counts;
 }
 
@@ -387,7 +354,7 @@ Status BatchProber::EvalBatch(const std::vector<Combination>& frontier,
 
   size_t slots = PlanSlots(plan.num_words, frontier.size());
   TileGrid grid = MakeGrid(plan.num_words, frontier.size(), slots);
-  // On work-stealing runs the output bitmaps are zeroed in parallel on the
+  // On multi-slot runs the output bitmaps are zeroed in parallel on the
   // pool (first-touch page placement on the workers that fill them).
   parallel::TaskPool* touch_pool = SchedulePool(slots);
   out->resize(frontier.size());

@@ -11,26 +11,18 @@
 // otherwise; ProbeOptions::simd forces the scalar table for differentials).
 //
 // Parallelism: the blocked pass is cut into shard × frontier-block TILES
-// (one tile = one shard's words × a block of combinations), and the tiles
-// are scheduled one of three ways (ProbeOptions::scheduler):
-//
-//  * inline           — num_threads <= 1 (after auto-detect): the calling
-//                       thread walks all tiles; no scratch allocation.
-//  * kStaticSplit     — balanced contiguous tile ranges on spawned
-//                       std::threads (the PR 2 shape, kept for comparison
-//                       benches; the ceil-division tail imbalance is fixed
-//                       by parallel::PartitionRange).
-//  * kWorkStealing    — the default: tiles run on a persistent
-//                       parallel::TaskPool with per-slot Chase-Lev deques
-//                       and lazy binary splitting, so skewed tiles (mixed
-//                       combination sizes, warm/cold leaves, tail shards)
-//                       rebalance automatically and no per-batch thread
-//                       spawn is paid.
+// (one tile = one shard's words × a block of combinations). With
+// num_threads <= 1 (after auto-detect) the calling thread walks all tiles
+// inline, with no scratch allocation. Otherwise the tiles run on a
+// persistent parallel::TaskPool with per-slot Chase-Lev deques and lazy
+// binary splitting, so skewed tiles (mixed combination sizes, warm/cold
+// leaves, tail shards) rebalance automatically and no per-batch thread
+// spawn is paid.
 //
 // Per-combination counts are sums of per-tile popcounts accumulated into
 // per-slot buffers reduced in slot order, and bitmap outputs write disjoint
-// word ranges — so results are exact and byte-identical to the scalar path
-// for every scheduler, thread count, and steal order, by contract.
+// word ranges — so results are exact and byte-identical to the scalar
+// CombinationProber for every thread count and steal order, by contract.
 //
 // All probes are answered from the per-preference bitmaps the shared
 // CombinationProber caches; the only DB work on this path is the bulk leaf
@@ -60,15 +52,6 @@ class TaskPool;
 
 namespace core {
 
-/// \brief How BatchProber schedules shard×frontier tiles across threads.
-enum class ProbeScheduler {
-  /// Balanced contiguous tile ranges on per-batch std::threads (the legacy
-  /// static split; kept for regression tests and scaling benches).
-  kStaticSplit,
-  /// Work-stealing on a persistent parallel::TaskPool (the default).
-  kWorkStealing,
-};
-
 /// \brief Knobs for the batch probe layer, threaded through the combination
 /// algorithms.
 struct ProbeOptions {
@@ -84,19 +67,11 @@ struct ProbeOptions {
   /// slot starts idle (in particular never more threads than shards when
   /// the frontier fits one block). Values > 1 are likewise clamped.
   size_t num_threads = 1;
-  /// When false, algorithms that accept ProbeOptions fall back to scalar
-  /// CombinationProber probing — the differential-testing switch.
-  bool batching = true;
-  /// Tile scheduler; see ProbeScheduler. Only consulted when the effective
-  /// thread count is > 1.
-  ProbeScheduler scheduler = ProbeScheduler::kWorkStealing;
-  /// Work-stealing pool to run on. nullptr = the process-wide
-  /// parallel::TaskPool::Shared(). api::Session injects its own session
-  /// pool here. Not owned; must outlive the batch prober's calls.
+  /// Work-stealing pool the tiles run on when the effective thread count
+  /// is > 1. nullptr = the process-wide parallel::TaskPool::Shared().
+  /// api::Session injects its own session pool here. Not owned; must
+  /// outlive the batch prober's calls.
   parallel::TaskPool* pool = nullptr;
-  /// Minimum tiles per stolen chunk for kWorkStealing (TaskPool grain).
-  /// 0 = auto (tiles / (8 * slots), min 1).
-  size_t grain = 0;
   /// When false, the inner word loops use the portable scalar kernels even
   /// in a SIMD build — the SIMD-differential switch. Results are
   /// byte-identical either way.
@@ -117,12 +92,6 @@ class BatchProber {
   /// \brief Matching-key counts for every combination in `frontier`, in
   /// order; counts[i] == CombinationProber::Count(frontier[i]).
   Result<std::vector<size_t>> CountBatch(
-      const std::vector<Combination>& frontier) const;
-
-  /// \brief CountBatch when options().batching, scalar
-  /// CombinationProber::Count per combination otherwise — the shared
-  /// dispatch the generation-based algorithms use around their frontiers.
-  Result<std::vector<size_t>> CountMaybeBatched(
       const std::vector<Combination>& frontier) const;
 
   /// \brief Counts of `base AND preference[candidates[k]]` for each
@@ -183,12 +152,12 @@ class BatchProber {
   /// can start with at least one tile.
   size_t PlanSlots(size_t num_words, size_t num_items) const;
   TileGrid MakeGrid(size_t num_words, size_t num_items, size_t slots) const;
-  /// The pool a work-stealing run uses (options_.pool or the shared pool);
-  /// null when the run is inline/static.
+  /// The pool a multi-slot run uses (options_.pool or the shared pool);
+  /// null when the run is inline.
   parallel::TaskPool* SchedulePool(size_t slots) const;
   /// Runs `kernel(word_begin, word_end, item_begin, item_end, slot)` over
-  /// every tile of `grid` on the configured scheduler. Slot ids are dense
-  /// and < slots; each tile runs exactly once.
+  /// every tile of `grid`, inline or on the pool. Slot ids are dense and
+  /// < slots; each tile runs exactly once.
   template <typename Kernel>
   void ForEachTile(const TileGrid& grid, size_t slots, Kernel&& kernel) const;
 

@@ -398,10 +398,9 @@ class ProbeEngine {
   //    by CombinationProber::Count or a BatchProber batch (one per
   //    combination/candidate/pair in the frontier, consumed by the caller
   //    or not). Raw KeyBitmap algebra done by callers outside the probe
-  //    layer is never counted, so the ABSOLUTE hit count of an algorithm
-  //    may differ between its batched and scalar modes (e.g. PEPS answers
-  //    its scalar pair table through raw AndCount) — the per-call
-  //    accounting, not cross-mode equality, is the contract.
+  //    layer is counted only where the caller reports it through
+  //    NoteProbesAnswered (bias-random's chain extensions do) — the
+  //    per-call accounting is the contract.
 
   /// \brief Number of leaf-predicate probes executed against the database
   /// (the one-time universe interning scan is not counted).

@@ -12,12 +12,18 @@ using reldb::Value;
 
 namespace {
 
+/// Deepest nesting of '(' and NOT a predicate may use. Every level costs
+/// four stack frames of recursive descent, so without a cap one request
+/// with a few hundred thousand '(' overflows the stack; real preference
+/// predicates nest a handful of levels.
+constexpr size_t kMaxNestingDepth = 64;
+
 class Parser {
  public:
   explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
 
   Result<ExprPtr> Parse() {
-    HYPRE_ASSIGN_OR_RETURN(ExprPtr expr, ParseOr());
+    HYPRE_ASSIGN_OR_RETURN(ExprPtr expr, ParseOr(0));
     if (Peek().type != TokenType::kEnd) {
       return UnexpectedToken("end of input");
     }
@@ -41,39 +47,45 @@ class Parser {
         TokenTypeToString(Peek().type), Peek().position));
   }
 
-  Result<ExprPtr> ParseOr() {
-    HYPRE_ASSIGN_OR_RETURN(ExprPtr lhs, ParseAnd());
+  // `depth` counts the '(' and NOT enclosing the current position.
+  Result<ExprPtr> ParseOr(size_t depth) {
+    HYPRE_ASSIGN_OR_RETURN(ExprPtr lhs, ParseAnd(depth));
     std::vector<ExprPtr> children{lhs};
     while (Match(TokenType::kOr)) {
-      HYPRE_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAnd());
+      HYPRE_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAnd(depth));
       children.push_back(std::move(rhs));
     }
     if (children.size() == 1) return children[0];
     return reldb::MakeOr(std::move(children));
   }
 
-  Result<ExprPtr> ParseAnd() {
-    HYPRE_ASSIGN_OR_RETURN(ExprPtr lhs, ParseUnary());
+  Result<ExprPtr> ParseAnd(size_t depth) {
+    HYPRE_ASSIGN_OR_RETURN(ExprPtr lhs, ParseUnary(depth));
     std::vector<ExprPtr> children{lhs};
     while (Match(TokenType::kAnd)) {
-      HYPRE_ASSIGN_OR_RETURN(ExprPtr rhs, ParseUnary());
+      HYPRE_ASSIGN_OR_RETURN(ExprPtr rhs, ParseUnary(depth));
       children.push_back(std::move(rhs));
     }
     if (children.size() == 1) return children[0];
     return reldb::MakeAnd(std::move(children));
   }
 
-  Result<ExprPtr> ParseUnary() {
+  Result<ExprPtr> ParseUnary(size_t depth) {
+    if (depth > kMaxNestingDepth) {
+      return Status::ParseError(StringFormat(
+          "predicate nests deeper than %zu levels at offset %zu",
+          kMaxNestingDepth, Peek().position));
+    }
     if (Match(TokenType::kNot)) {
-      HYPRE_ASSIGN_OR_RETURN(ExprPtr child, ParseUnary());
+      HYPRE_ASSIGN_OR_RETURN(ExprPtr child, ParseUnary(depth + 1));
       return reldb::MakeNot(std::move(child));
     }
-    return ParsePrimary();
+    return ParsePrimary(depth);
   }
 
-  Result<ExprPtr> ParsePrimary() {
+  Result<ExprPtr> ParsePrimary(size_t depth) {
     if (Match(TokenType::kLParen)) {
-      HYPRE_ASSIGN_OR_RETURN(ExprPtr inner, ParseOr());
+      HYPRE_ASSIGN_OR_RETURN(ExprPtr inner, ParseOr(depth + 1));
       if (!Match(TokenType::kRParen)) return UnexpectedToken("')'");
       return inner;
     }

@@ -31,6 +31,9 @@ namespace sqlparse {
 ///             |  column IN '(' literal (',' literal)* ')'
 ///   operand   := column | literal
 ///   column    := IDENT ('.' IDENT)?
+///
+/// '(' and NOT may nest at most 64 levels deep; deeper input is a
+/// ParseError rather than a stack overflow.
 Result<reldb::ExprPtr> ParsePredicate(const std::string& input);
 
 }  // namespace sqlparse

@@ -1,11 +1,11 @@
 // BatchProber tests: randomized differential sweep of the batched, sharded
 // probe kernels against the scalar CombinationProber across shard widths
 // (1 word, 4 words, universe-in-one-shard), thread counts (1, 2, 4, 8,
-// auto), schedulers (static split vs work-stealing on a real 8-slot pool),
-// and SIMD on/off; degenerate frontiers; the probe-statistics contract
-// under prefetch and batching; and byte-identical algorithm outputs with
-// batching on vs off. Every configuration must be BYTE-identical to the
-// scalar path — the batch layer's core contract.
+// auto) on a real 8-slot work-stealing pool, and SIMD on/off; degenerate
+// frontiers; the probe-statistics contract under prefetch and batching; and
+// pinned algorithm outputs whose every record count is re-checked against
+// the scalar CombinationProber. Every configuration must be BYTE-identical
+// to the scalar oracle — the batch layer's core contract.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -31,8 +31,12 @@ using reldb::Schema;
 using reldb::Value;
 using reldb::ValueType;
 using testing_fixtures::BuildMiniDblp;
+using testing_fixtures::ExpectCountsMatchOracle;
+using testing_fixtures::Fingerprint;
 using testing_fixtures::MiniBaseQuery;
 using testing_fixtures::MiniPreferences;
+using testing_fixtures::RenderKeys;
+using testing_fixtures::RenderRecords;
 
 // A real work-stealing pool for the parallel matrix entries: the machine
 // running the tests may report 1 hardware thread (which would make the
@@ -43,29 +47,32 @@ parallel::TaskPool* TestPool() {
   return &pool;
 }
 
-// The shard-width / thread-count / scheduler / SIMD matrix every
-// differential sweep runs: one-word shards (maximum shard count), small
-// shards, and a shard wide enough to hold any test universe in one piece;
-// serial, 4-way (legacy matrix), and 8-way on both schedulers; SIMD kernels
-// on and off; plus num_threads = 0 (auto-detect).
+ProbeOptions MakeOptions(size_t shard_words, size_t num_threads) {
+  ProbeOptions options;
+  options.shard_words = shard_words;
+  options.num_threads = num_threads;
+  return options;
+}
+
+// The shard-width / thread-count / SIMD matrix every differential sweep
+// runs: one-word shards (maximum shard count), small shards, and a shard
+// wide enough to hold any test universe in one piece; serial, 4-way, and
+// 8-way on the test pool; SIMD kernels on and off; plus num_threads = 0
+// (auto-detect).
 std::vector<ProbeOptions> OptionMatrix() {
   std::vector<ProbeOptions> matrix;
   for (size_t shard_words : {size_t{1}, size_t{4}, size_t{1} << 20}) {
     for (size_t num_threads : {size_t{1}, size_t{4}}) {
-      matrix.push_back(ProbeOptions{shard_words, num_threads, true});
+      matrix.push_back(MakeOptions(shard_words, num_threads));
     }
-    for (ProbeScheduler scheduler :
-         {ProbeScheduler::kStaticSplit, ProbeScheduler::kWorkStealing}) {
-      for (bool simd : {true, false}) {
-        ProbeOptions options{shard_words, 8, true};
-        options.scheduler = scheduler;
-        options.pool = TestPool();
-        options.simd = simd;
-        matrix.push_back(options);
-      }
+    for (bool simd : {true, false}) {
+      ProbeOptions options = MakeOptions(shard_words, 8);
+      options.pool = TestPool();
+      options.simd = simd;
+      matrix.push_back(options);
     }
     // Auto-detected thread count on the work-stealing pool.
-    ProbeOptions auto_detect{shard_words, 0, true};
+    ProbeOptions auto_detect = MakeOptions(shard_words, 0);
     auto_detect.pool = TestPool();
     matrix.push_back(auto_detect);
   }
@@ -75,7 +82,6 @@ std::vector<ProbeOptions> OptionMatrix() {
 std::string DescribeOptions(const ProbeOptions& options) {
   std::string desc = "shard_words=" + std::to_string(options.shard_words) +
                      " threads=" + std::to_string(options.num_threads);
-  desc += options.scheduler == ProbeScheduler::kWorkStealing ? " ws" : " static";
   if (!options.simd) desc += " scalar-kernels";
   return desc;
 }
@@ -267,7 +273,7 @@ TEST(BatchProber, SkewedFrontierByteIdenticalUnderWorkStealing) {
 
   for (size_t shard_words : {size_t{1}, size_t{4}}) {
     for (bool simd : {true, false}) {
-      ProbeOptions options{shard_words, 8, true};
+      ProbeOptions options = MakeOptions(shard_words, 8);
       options.pool = TestPool();
       options.simd = simd;
       SCOPED_TRACE(DescribeOptions(options));
@@ -285,13 +291,11 @@ TEST(BatchProber, SkewedFrontierByteIdenticalUnderWorkStealing) {
 }
 
 TEST(BatchProber, MoreThreadsThanShardsStaysExact) {
-  // Regression for the tail imbalance of the old ceil-division static
-  // split: with num_threads > num_shards the per-worker quota rounded up,
-  // so early workers swallowed everything and later ones got empty ranges
-  // (and with shards % threads != 0 the last worker could carry half the
-  // quota of the rest). The split now partitions balanced and never hands
-  // out empty ranges; both schedulers must stay exact whatever the
-  // thread/shard ratio.
+  // Regression for the tail imbalance of the old ceil-division split: with
+  // num_threads > num_shards the per-worker quota rounded up, so early
+  // workers swallowed everything and later ones got empty ranges. PlanSlots
+  // now clamps the slot count to the tile count; counts must stay exact
+  // whatever the thread/shard ratio.
   RandomWorkload w(2024);
   Combiner combiner(&w.prefs_);
   CombinationProber scalar(&combiner, &w.enhancer_->probe_engine());
@@ -310,17 +314,13 @@ TEST(BatchProber, MoreThreadsThanShardsStaysExact) {
   for (size_t shard_words : {size_t{1} << 20, size_t{3}, size_t{1}}) {
     for (size_t num_threads : {size_t{2}, size_t{3}, size_t{5}, size_t{8},
                                size_t{16}}) {
-      for (ProbeScheduler scheduler :
-           {ProbeScheduler::kStaticSplit, ProbeScheduler::kWorkStealing}) {
-        ProbeOptions options{shard_words, num_threads, true};
-        options.scheduler = scheduler;
-        options.pool = TestPool();
-        SCOPED_TRACE(DescribeOptions(options));
-        BatchProber batch(&scalar, options);
-        auto counts = batch.CountBatch(frontier);
-        ASSERT_TRUE(counts.ok());
-        EXPECT_EQ(*counts, expected);
-      }
+      ProbeOptions options = MakeOptions(shard_words, num_threads);
+      options.pool = TestPool();
+      SCOPED_TRACE(DescribeOptions(options));
+      BatchProber batch(&scalar, options);
+      auto counts = batch.CountBatch(frontier);
+      ASSERT_TRUE(counts.ok());
+      EXPECT_EQ(*counts, expected);
     }
   }
 }
@@ -376,7 +376,7 @@ TEST(BatchProber, ProbeStatisticsContract) {
   std::vector<PreferenceAtom> prefs = MiniPreferences();
   Combiner combiner(&prefs);
   CombinationProber prober(&combiner, &engine);
-  BatchProber batch(&prober, ProbeOptions{4, 2, true});
+  BatchProber batch(&prober, MakeOptions(4, 2));
 
   // Bulk prefetch: 5 preferences = 5 distinct leaves, ONE executor pass but
   // one counted leaf query per leaf; no probes answered yet.
@@ -414,86 +414,125 @@ TEST(BatchProber, ProbeStatisticsContract) {
   EXPECT_EQ(engine.num_leaf_queries(), 5u);
 }
 
-// --- Byte-identical algorithm outputs, batching on vs off ------------------
+// --- Pinned algorithm outputs ----------------------------------------------
+//
+// The expected strings were recorded from the scalar and batched probe paths
+// (which agreed byte for byte) before the scalar path was removed; every
+// record's count is also re-checked against the scalar CombinationProber on
+// an independent enhancer. Each output must come out identical under every
+// configuration in AlgorithmConfigs().
 
-void ExpectRecordsIdentical(const std::vector<CombinationRecord>& a,
-                            const std::vector<CombinationRecord>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    SCOPED_TRACE(testing::Message() << "record " << i);
-    EXPECT_EQ(a[i].num_predicates, b[i].num_predicates);
-    EXPECT_EQ(a[i].num_tuples, b[i].num_tuples);
-    EXPECT_EQ(a[i].intensity, b[i].intensity);  // exact, not approximate
-    EXPECT_EQ(a[i].predicate_sql, b[i].predicate_sql);
-    EXPECT_EQ(a[i].combination.SortedMembers(), b[i].combination.SortedMembers());
-  }
+std::vector<ProbeOptions> AlgorithmConfigs() {
+  ProbeOptions stress = MakeOptions(2, 4);  // tiny shards + threads
+  stress.pool = TestPool();
+  ProbeOptions scalar_kernels;
+  scalar_kernels.simd = false;
+  return {ProbeOptions{}, stress, scalar_kernels};
 }
 
-class BatchVsScalarAlgorithms : public ::testing::Test {
- protected:
-  void SetUp() override {
-    scalar_.batching = false;
-    batched_ = ProbeOptions{2, 4, true};  // tiny shards + threads: max stress
-  }
-
-  ProbeOptions scalar_;
-  ProbeOptions batched_;
-};
-
-TEST_F(BatchVsScalarAlgorithms, PepsOrderAndTopKByteIdentical) {
+TEST(PinnedAlgorithmOutputs, PepsOrderAndTopK) {
   RandomWorkload w(42);
   SortByIntensityDesc(&w.prefs_);
-  for (PepsMode mode : {PepsMode::kComplete, PepsMode::kApproximate}) {
-    Peps off(&w.prefs_, w.enhancer_.get(), scalar_);
-    Peps on(&w.prefs_, w.enhancer_.get(), batched_);
-    auto order_off = off.GenerateOrder(mode);
-    auto order_on = on.GenerateOrder(mode);
-    ASSERT_TRUE(order_off.ok() && order_on.ok());
-    ExpectRecordsIdentical(*order_off, *order_on);
-    EXPECT_EQ(off.num_expansion_probes(), on.num_expansion_probes());
-    EXPECT_EQ(off.pairs().size(), on.pairs().size());
+  QueryEnhancer oracle(&w.db_, w.enhancer_->base_query(), "p.pid");
+  struct Pin {
+    PepsMode mode;
+    const char* order;
+    size_t expansion_probes;
+    size_t pairs;
+  };
+  // Both modes rank the same 25 keys on this workload.
+  const char* kTopK =
+      "17 131 203 58 70 92 252 218 257 82 168 54 228 1 91 230 245 19 26 60 "
+      "104 146 199 30 122";
+  const Pin pins[] = {
+      {PepsMode::kComplete, "63 records fnv1a=8ff3ae7c684648c9", 74, 25},
+      {PepsMode::kApproximate, "24 records fnv1a=e197b7eb8901ac82", 35, 25},
+  };
+  for (const ProbeOptions& options : AlgorithmConfigs()) {
+    SCOPED_TRACE(DescribeOptions(options));
+    for (const Pin& pin : pins) {
+      SCOPED_TRACE(pin.mode == PepsMode::kComplete ? "complete" : "approx");
+      Peps peps(&w.prefs_, w.enhancer_.get(), options);
+      auto order = peps.GenerateOrder(pin.mode);
+      ASSERT_TRUE(order.ok()) << order.status().ToString();
+      ExpectCountsMatchOracle(*order, w.prefs_, oracle);
+      EXPECT_EQ(Fingerprint(*order), pin.order);
+      EXPECT_EQ(peps.num_expansion_probes(), pin.expansion_probes);
+      EXPECT_EQ(peps.pairs().size(), pin.pairs);
 
-    auto topk_off = off.TopK(25, mode);
-    auto topk_on = on.TopK(25, mode);
-    ASSERT_TRUE(topk_off.ok() && topk_on.ok());
-    ASSERT_EQ(topk_off->size(), topk_on->size());
-    for (size_t i = 0; i < topk_off->size(); ++i) {
-      EXPECT_EQ((*topk_off)[i].key, (*topk_on)[i].key) << "rank " << i;
-      EXPECT_EQ((*topk_off)[i].intensity, (*topk_on)[i].intensity);
+      auto top_k = peps.TopK(25, pin.mode);
+      ASSERT_TRUE(top_k.ok()) << top_k.status().ToString();
+      EXPECT_EQ(RenderKeys(*top_k), kTopK);
     }
   }
 }
 
-TEST_F(BatchVsScalarAlgorithms, ExhaustiveCombineTwoPartiallyByteIdentical) {
+TEST(PinnedAlgorithmOutputs, ExhaustiveCombineTwoPartially) {
   RandomWorkload w(77);
-  auto ex_off = ExhaustiveAndCombinations(w.prefs_, *w.enhancer_, 20, scalar_);
-  auto ex_on = ExhaustiveAndCombinations(w.prefs_, *w.enhancer_, 20, batched_);
-  ASSERT_TRUE(ex_off.ok() && ex_on.ok());
-  ExpectRecordsIdentical(*ex_off, *ex_on);
+  QueryEnhancer oracle(&w.db_, w.enhancer_->base_query(), "p.pid");
+  for (const ProbeOptions& options : AlgorithmConfigs()) {
+    SCOPED_TRACE(DescribeOptions(options));
+    auto exhaustive =
+        ExhaustiveAndCombinations(w.prefs_, *w.enhancer_, 20, options);
+    ASSERT_TRUE(exhaustive.ok()) << exhaustive.status().ToString();
+    ExpectCountsMatchOracle(*exhaustive, w.prefs_, oracle);
+    EXPECT_EQ(Fingerprint(*exhaustive), "72 records fnv1a=d959a892cc080ad9");
 
-  for (CombineSemantics semantics :
-       {CombineSemantics::kAnd, CombineSemantics::kAndOr}) {
-    auto ct_off = CombineTwo(w.prefs_, *w.enhancer_, semantics, scalar_);
-    auto ct_on = CombineTwo(w.prefs_, *w.enhancer_, semantics, batched_);
-    ASSERT_TRUE(ct_off.ok() && ct_on.ok());
-    ExpectRecordsIdentical(*ct_off, *ct_on);
+    auto and_pairs =
+        CombineTwo(w.prefs_, *w.enhancer_, CombineSemantics::kAnd, options);
+    ASSERT_TRUE(and_pairs.ok()) << and_pairs.status().ToString();
+    ExpectCountsMatchOracle(*and_pairs, w.prefs_, oracle);
+    EXPECT_EQ(RenderRecords(*and_pairs),
+              "0&1:0 0&2:18 0&3:16 0&4:16 0&5:15 0&6:0 0&7:14 1&2:14 1&3:16 "
+              "1&4:14 1&5:22 1&6:0 1&7:17 2&3:9 2&4:6 2&5:13 2&6:16 2&7:15 "
+              "3&4:3 3&5:8 3&6:16 3&7:11 4&5:8 4&6:15 4&7:11 5&6:8 5&7:11 "
+              "6&7:20");
+
+    auto and_or_pairs =
+        CombineTwo(w.prefs_, *w.enhancer_, CombineSemantics::kAndOr, options);
+    ASSERT_TRUE(and_or_pairs.ok()) << and_or_pairs.status().ToString();
+    ExpectCountsMatchOracle(*and_or_pairs, w.prefs_, oracle);
+    EXPECT_EQ(RenderRecords(*and_or_pairs),
+              "0|1:152 0&2:18 0&3:16 0&4:16 0&5:15 0|6:145 0&7:14 1&2:14 "
+              "1&3:16 1&4:14 1&5:22 1|6:143 1&7:17 2|3:125 2|4:117 2|5:126 "
+              "2&6:16 2|7:128 3|4:114 3|5:125 3&6:16 3|7:126 4|5:114 4&6:15 "
+              "4|7:115 5&6:8 5|7:131 6&7:20");
+
+    auto partial = PartiallyCombineAll(w.prefs_, *w.enhancer_, options);
+    ASSERT_TRUE(partial.ok()) << partial.status().ToString();
+    ExpectCountsMatchOracle(*partial, w.prefs_, oracle);
+    EXPECT_EQ(Fingerprint(*partial), "17 records fnv1a=6ae3a46fd85fb7dd");
   }
-
-  auto pca_off = PartiallyCombineAll(w.prefs_, *w.enhancer_, scalar_);
-  auto pca_on = PartiallyCombineAll(w.prefs_, *w.enhancer_, batched_);
-  ASSERT_TRUE(pca_off.ok() && pca_on.ok());
-  ExpectRecordsIdentical(*pca_off, *pca_on);
 }
 
-TEST_F(BatchVsScalarAlgorithms, BiasRandomByteIdentical) {
+TEST(PinnedAlgorithmOutputs, BiasRandom) {
   RandomWorkload w(5);
-  for (uint64_t seed : {1ull, 17ull, 123ull}) {
-    auto off = BiasRandomSelection(w.prefs_, *w.enhancer_, seed, scalar_);
-    auto on = BiasRandomSelection(w.prefs_, *w.enhancer_, seed, batched_);
-    ASSERT_TRUE(off.ok() && on.ok());
-    ExpectRecordsIdentical(off->records, on->records);
-    EXPECT_EQ(off->valid_checks, on->valid_checks);
-    EXPECT_EQ(off->invalid_checks, on->invalid_checks);
+  QueryEnhancer oracle(&w.db_, w.enhancer_->base_query(), "p.pid");
+  struct Pin {
+    uint64_t seed;
+    const char* records;
+    size_t valid_checks;
+    size_t invalid_checks;
+  };
+  const Pin pins[] = {
+      {1, "0&4&3:3 1&2&5:2 2&0&3:1 3&2&6:1 4&6&3:1 5&6:18 6&2:10 7&0&3:1", 14,
+       8},
+      {17, "0&4&3:3 1&7&4:2 2&6&5:3 3&4&0:3 4&1:24 5&1:11 6&7&3:1 7&0&2&4:1",
+       15, 10},
+      {123, "0&7&3:1 1&2&7:2 2&4:8 3&1&4:4 4&0&2:3 5&0&2:1 6&2:10 7&1:15", 13,
+       9},
+  };
+  for (const ProbeOptions& options : AlgorithmConfigs()) {
+    SCOPED_TRACE(DescribeOptions(options));
+    for (const Pin& pin : pins) {
+      SCOPED_TRACE(testing::Message() << "seed=" << pin.seed);
+      auto run = BiasRandomSelection(w.prefs_, *w.enhancer_, pin.seed, options);
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      ExpectCountsMatchOracle(run->records, w.prefs_, oracle);
+      EXPECT_EQ(RenderRecords(run->records), pin.records);
+      EXPECT_EQ(run->valid_checks, pin.valid_checks);
+      EXPECT_EQ(run->invalid_checks, pin.invalid_checks);
+    }
   }
 }
 

@@ -72,15 +72,16 @@ EnumerationRequest MakeRequest(const std::string& algorithm,
 }
 
 /// The request mix every differential test drives: combination enumerators
-/// and rankers, batching on and off, single- and multi-threaded probes.
+/// and rankers, SIMD and scalar word kernels, single- and multi-threaded
+/// probes.
 std::vector<EnumerationRequest> RequestMix(
     const std::vector<core::PreferenceAtom>& prefs) {
   std::vector<EnumerationRequest> requests;
   requests.push_back(MakeRequest("exhaustive", prefs));
   {
-    core::ProbeOptions scalar;
-    scalar.batching = false;
-    requests.push_back(MakeRequest("combine-two", prefs, scalar));
+    core::ProbeOptions scalar_kernels;
+    scalar_kernels.simd = false;
+    requests.push_back(MakeRequest("combine-two", prefs, scalar_kernels));
   }
   {
     core::ProbeOptions parallel_opts;
@@ -95,6 +96,16 @@ std::vector<EnumerationRequest> RequestMix(
   }
   requests.push_back(MakeRequest("ta", prefs));
   return requests;
+}
+
+/// Admits through the scheduler's one entry point with no deadline. With
+/// max_queue_depth unset, TryAdmit waits FIFO and never sheds.
+AdmissionScheduler::Ticket MustAdmit(AdmissionScheduler& scheduler,
+                                     size_t cost) {
+  auto ticket = scheduler.TryAdmit(cost);
+  EXPECT_TRUE(ticket.ok()) << ticket.status().ToString();
+  return ticket.ok() ? std::move(ticket).TakeValue()
+                     : AdmissionScheduler::Ticket();
 }
 
 /// Polls until `predicate` holds (the scheduler has no "is waiting" hook, so
@@ -193,7 +204,7 @@ TEST(ConcurrentSession, AdmissionCapsPreserveResults) {
   // cannot fit under the cap until we let go: at least one of them is
   // forced to queue, deterministically (on a single core the clients might
   // otherwise serialize naturally and never wait).
-  AdmissionScheduler::Ticket plug = session.scheduler().Admit(10);
+  AdmissionScheduler::Ticket plug = MustAdmit(session.scheduler(), 10);
 
   constexpr size_t kThreads = 8;
   std::atomic<size_t> mismatches{0};
@@ -445,9 +456,9 @@ TEST(ConcurrentSession, PerRequestStatsAreExactUnderConcurrency) {
 
 TEST(AdmissionScheduler, UnlimitedByDefault) {
   AdmissionScheduler scheduler;
-  auto a = scheduler.Admit(100);
-  auto b = scheduler.Admit(0);
-  auto c = scheduler.Admit(1000000);
+  auto a = MustAdmit(scheduler, 100);
+  auto b = MustAdmit(scheduler, 0);
+  auto c = MustAdmit(scheduler, 1000000);
   AdmissionScheduler::Stats stats = scheduler.stats();
   EXPECT_EQ(stats.admitted, 3u);
   EXPECT_EQ(stats.waited, 0u);
@@ -464,11 +475,11 @@ TEST(AdmissionScheduler, ConcurrencyCapBlocksAndReleases) {
   AdmissionScheduler::Options options;
   options.max_concurrent = 2;
   AdmissionScheduler scheduler(options);
-  auto a = scheduler.Admit(0);
-  auto b = scheduler.Admit(0);
+  auto a = MustAdmit(scheduler, 0);
+  auto b = MustAdmit(scheduler, 0);
   std::atomic<bool> admitted{false};
   std::thread waiter([&] {
-    auto c = scheduler.Admit(0);
+    auto c = MustAdmit(scheduler, 0);
     admitted.store(true);
   });
   ASSERT_TRUE(WaitFor([&] { return scheduler.stats().queue_depth == 1; }));
@@ -485,10 +496,10 @@ TEST(AdmissionScheduler, BudgetCapBlocksUntilSpendDrains) {
   AdmissionScheduler::Options options;
   options.max_inflight_probe_budget = 10;
   AdmissionScheduler scheduler(options);
-  auto a = scheduler.Admit(6);
+  auto a = MustAdmit(scheduler, 6);
   std::atomic<bool> admitted{false};
   std::thread waiter([&] {
-    auto b = scheduler.Admit(6);  // 6 + 6 > 10: must wait for a
+    auto b = MustAdmit(scheduler, 6);  // 6 + 6 > 10: must wait for a
     admitted.store(true);
   });
   ASSERT_TRUE(WaitFor([&] { return scheduler.stats().queue_depth == 1; }));
@@ -497,7 +508,7 @@ TEST(AdmissionScheduler, BudgetCapBlocksUntilSpendDrains) {
   // the blocked budget-6 request: strict arrival order, no overtaking.
   std::atomic<bool> zero_admitted{false};
   std::thread zero([&] {
-    auto c = scheduler.Admit(0);
+    auto c = MustAdmit(scheduler, 0);
     zero_admitted.store(true);
   });
   ASSERT_TRUE(WaitFor([&] { return scheduler.stats().queue_depth == 2; }));
@@ -514,12 +525,12 @@ TEST(AdmissionScheduler, OversizedRequestAdmittedWhenAlone) {
   options.max_inflight_probe_budget = 10;
   AdmissionScheduler scheduler(options);
   // Cost 50 > cap 10, but nothing is in flight: admit rather than starve.
-  auto huge = scheduler.Admit(50);
+  auto huge = MustAdmit(scheduler, 50);
   EXPECT_EQ(scheduler.stats().inflight, 1u);
   // While the oversized request runs, everything budgeted queues.
   std::atomic<bool> admitted{false};
   std::thread waiter([&] {
-    auto small = scheduler.Admit(1);
+    auto small = MustAdmit(scheduler, 1);
     admitted.store(true);
   });
   ASSERT_TRUE(WaitFor([&] { return scheduler.stats().queue_depth == 1; }));
@@ -533,14 +544,14 @@ TEST(AdmissionScheduler, FifoOrderUnderSingleSlot) {
   AdmissionScheduler::Options options;
   options.max_concurrent = 1;
   AdmissionScheduler scheduler(options);
-  auto gate = scheduler.Admit(0);
+  auto gate = MustAdmit(scheduler, 0);
 
   std::mutex order_mu;
   std::vector<int> admission_order;
   std::vector<std::thread> threads;
   for (int i = 0; i < 4; ++i) {
     threads.emplace_back([&, i] {
-      auto ticket = scheduler.Admit(0);
+      auto ticket = MustAdmit(scheduler, 0);
       std::lock_guard<std::mutex> lock(order_mu);
       admission_order.push_back(i);
     });
@@ -562,10 +573,10 @@ TEST(AdmissionScheduler, LooseningCapsWakesWaiters) {
   AdmissionScheduler::Options options;
   options.max_concurrent = 1;
   AdmissionScheduler scheduler(options);
-  auto gate = scheduler.Admit(0);
+  auto gate = MustAdmit(scheduler, 0);
   std::atomic<bool> admitted{false};
   std::thread waiter([&] {
-    auto ticket = scheduler.Admit(0);
+    auto ticket = MustAdmit(scheduler, 0);
     admitted.store(true);
   });
   ASSERT_TRUE(WaitFor([&] { return scheduler.stats().queue_depth == 1; }));
@@ -578,7 +589,7 @@ TEST(AdmissionScheduler, LooseningCapsWakesWaiters) {
 
 // --- Bounded admission (TryAdmit: queue depth + wait deadline) -------------
 
-TEST(AdmissionScheduler, TryAdmitMatchesAdmitWhenUnloaded) {
+TEST(AdmissionScheduler, TryAdmitAdmitsImmediatelyWhenUnloaded) {
   AdmissionScheduler scheduler;
   auto ticket = scheduler.TryAdmit(5);
   ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
@@ -593,7 +604,7 @@ TEST(AdmissionScheduler, QueueDepthBoundShedsWithUnavailable) {
   options.max_concurrent = 1;
   options.max_queue_depth = 1;
   AdmissionScheduler scheduler(options);
-  auto gate = scheduler.Admit(0);
+  auto gate = MustAdmit(scheduler, 0);
 
   // One waiter fills the queue to its bound.
   std::atomic<bool> admitted{false};
@@ -610,22 +621,11 @@ TEST(AdmissionScheduler, QueueDepthBoundShedsWithUnavailable) {
   EXPECT_EQ(shed.status().code(), StatusCode::kUnavailable);
   EXPECT_NE(shed.status().message().find("queue full"), std::string::npos);
   EXPECT_EQ(scheduler.stats().rejected, 1u);
-
-  // The legacy unbounded Admit still waits (never sheds) — the in-process
-  // API contract is unchanged.
-  std::atomic<bool> legacy_admitted{false};
-  std::thread legacy([&] {
-    auto ticket = scheduler.Admit(0);
-    legacy_admitted.store(true);
-  });
-  ASSERT_TRUE(WaitFor([&] { return scheduler.stats().queue_depth == 2; }));
-  EXPECT_FALSE(legacy_admitted.load());
+  EXPECT_EQ(scheduler.stats().queue_depth, 1u);  // the shed left no residue
 
   gate.Release();
   waiter.join();
-  legacy.join();
   EXPECT_TRUE(admitted.load());
-  EXPECT_TRUE(legacy_admitted.load());
   EXPECT_EQ(scheduler.stats().rejected, 1u);
 }
 
@@ -633,7 +633,7 @@ TEST(AdmissionScheduler, WaitDeadlineShedsAQueuedRequest) {
   AdmissionScheduler::Options options;
   options.max_concurrent = 1;
   AdmissionScheduler scheduler(options);
-  auto gate = scheduler.Admit(0);
+  auto gate = MustAdmit(scheduler, 0);
 
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(50);
@@ -662,7 +662,7 @@ TEST(AdmissionScheduler, AbandonedHeadTicketDoesNotStallTheQueue) {
   AdmissionScheduler::Options options;
   options.max_concurrent = 1;
   AdmissionScheduler scheduler(options);
-  auto gate = scheduler.Admit(0);
+  auto gate = MustAdmit(scheduler, 0);
 
   // Head waiter with a short deadline; a patient waiter queues behind it.
   std::thread head([&] {
@@ -673,7 +673,7 @@ TEST(AdmissionScheduler, AbandonedHeadTicketDoesNotStallTheQueue) {
   ASSERT_TRUE(WaitFor([&] { return scheduler.stats().queue_depth == 1; }));
   std::atomic<bool> admitted{false};
   std::thread patient([&] {
-    auto ticket = scheduler.Admit(0);
+    auto ticket = MustAdmit(scheduler, 0);
     admitted.store(true);
   });
   ASSERT_TRUE(WaitFor([&] { return scheduler.stats().queue_depth == 2; }));
@@ -692,13 +692,13 @@ TEST(AdmissionScheduler, AbandonedMiddleTicketIsSkippedByTheCursor) {
   AdmissionScheduler::Options options;
   options.max_concurrent = 1;
   AdmissionScheduler scheduler(options);
-  auto gate = scheduler.Admit(0);
+  auto gate = MustAdmit(scheduler, 0);
 
   // Queue: [patient-A, deadline-B, patient-C]. B abandons from the MIDDLE;
   // when capacity frees, A then C must both admit (cursor skips B's slot).
   std::atomic<int> admitted{0};
   std::thread a([&] {
-    auto ticket = scheduler.Admit(0);
+    auto ticket = MustAdmit(scheduler, 0);
     admitted.fetch_add(1);
   });
   ASSERT_TRUE(WaitFor([&] { return scheduler.stats().queue_depth == 1; }));
@@ -709,7 +709,7 @@ TEST(AdmissionScheduler, AbandonedMiddleTicketIsSkippedByTheCursor) {
   });
   ASSERT_TRUE(WaitFor([&] { return scheduler.stats().queue_depth == 2; }));
   std::thread c([&] {
-    auto ticket = scheduler.Admit(0);
+    auto ticket = MustAdmit(scheduler, 0);
     admitted.fetch_add(1);
   });
   ASSERT_TRUE(WaitFor([&] { return scheduler.stats().queue_depth == 3; }));
@@ -733,7 +733,7 @@ TEST(ConcurrentSession, AdmissionTimeoutSurfacesAsUnavailable) {
 
   // Hold the only slot with a raw ticket, then send a request with a tiny
   // admission timeout: it must shed with Unavailable, not block.
-  auto gate = session.scheduler().Admit(0);
+  auto gate = MustAdmit(session.scheduler(), 0);
   EnumerationRequest request = MakeRequest("combine-two", MiniPreferences());
   request.admission_timeout_ms = 30;
   auto result = session.Enumerate(request);

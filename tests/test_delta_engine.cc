@@ -36,7 +36,10 @@ std::vector<ProbeOptions> OptionMatrix() {
   std::vector<ProbeOptions> matrix;
   for (size_t shard_words : {size_t{1}, size_t{4}, size_t{1} << 20}) {
     for (size_t num_threads : {size_t{1}, size_t{4}}) {
-      matrix.push_back(ProbeOptions{shard_words, num_threads, true});
+      ProbeOptions options;
+      options.shard_words = shard_words;
+      options.num_threads = num_threads;
+      matrix.push_back(options);
     }
   }
   return matrix;
@@ -580,10 +583,14 @@ TEST(DeltaEngine, PepsTopKAfterRefreshMatchesFreshEngine) {
   ASSERT_TRUE(enhancer.Refresh().ok());
 
   QueryEnhancer fresh_enhancer(&w.db_, w.base_, "p.pid");
-  for (bool batching : {true, false}) {
-    SCOPED_TRACE(testing::Message() << "batching=" << batching);
-    ProbeOptions options;
-    options.batching = batching;
+  ProbeOptions scalar_kernels;
+  scalar_kernels.simd = false;
+  ProbeOptions threaded;
+  threaded.num_threads = 3;
+  for (const ProbeOptions& options :
+       {ProbeOptions{}, scalar_kernels, threaded}) {
+    SCOPED_TRACE(testing::Message() << "simd=" << options.simd
+                                    << " threads=" << options.num_threads);
     Peps refreshed(&w.prefs_, &enhancer, options);
     Peps fresh(&w.prefs_, &fresh_enhancer, options);
     auto got = refreshed.TopK(10, PepsMode::kComplete);
@@ -591,6 +598,9 @@ TEST(DeltaEngine, PepsTopKAfterRefreshMatchesFreshEngine) {
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     ASSERT_TRUE(want.ok()) << want.status().ToString();
     EXPECT_EQ(*got, *want);
+    // Recorded when the scalar and batched probe paths agreed.
+    EXPECT_EQ(testing_fixtures::RenderKeys(*got),
+              "41 52 35 203 150 15 135 29 181 193");
   }
 }
 

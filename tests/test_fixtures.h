@@ -17,6 +17,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <string>
+#include <vector>
+
+#include "hypre/algorithms/common.h"
+#include "hypre/combination.h"
 #include "hypre/preference.h"
 #include "hypre/query_enhancement.h"
 #include "reldb/database.h"
@@ -87,6 +94,72 @@ inline std::vector<PreferenceAtom> MiniPreferences() {
   add("dblp_author.aid=3", 0.2);
   SortByIntensityDesc(&prefs);
   return prefs;
+}
+
+/// Canonical text of an enumerator's output, one token per record in output
+/// order: the combination's groups joined by '&', each group's members (in
+/// insertion order) joined by '|', then ':' and num_tuples. It pins
+/// membership, AND/OR structure, order and counts; intensities are implied
+/// by the members.
+inline std::string RenderRecords(
+    const std::vector<CombinationRecord>& records) {
+  std::string out;
+  for (const CombinationRecord& record : records) {
+    if (!out.empty()) out += ' ';
+    for (size_t g = 0; g < record.combination.groups.size(); ++g) {
+      if (g > 0) out += '&';
+      const auto& members = record.combination.groups[g].members;
+      for (size_t m = 0; m < members.size(); ++m) {
+        if (m > 0) out += '|';
+        out += std::to_string(members[m]);
+      }
+    }
+    out += ':';
+    out += std::to_string(record.num_tuples);
+  }
+  return out;
+}
+
+/// Ranked keys in rank order, space-separated.
+inline std::string RenderKeys(const std::vector<RankedTuple>& tuples) {
+  std::string out;
+  for (const RankedTuple& tuple : tuples) {
+    if (!out.empty()) out += ' ';
+    out += tuple.key.ToString();
+  }
+  return out;
+}
+
+/// Compact pin for outputs too long to spell out: the record count and the
+/// 64-bit FNV-1a hash of RenderRecords.
+inline std::string Fingerprint(const std::vector<CombinationRecord>& records) {
+  uint64_t hash = 14695981039346656037ull;
+  for (char c : RenderRecords(records)) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 1099511628211ull;
+  }
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%zu records fnv1a=%016llx", records.size(),
+                static_cast<unsigned long long>(hash));
+  return buf;
+}
+
+/// The scalar-oracle check every enumerator output must pass: each emitted
+/// record's num_tuples equals CombinationProber::Count of its combination,
+/// probed one at a time over `enhancer` (which the caller does not share
+/// with the run under test).
+inline void ExpectCountsMatchOracle(
+    const std::vector<CombinationRecord>& records,
+    const std::vector<PreferenceAtom>& preferences,
+    const QueryEnhancer& enhancer) {
+  Combiner combiner(&preferences);
+  CombinationProber oracle(&combiner, &enhancer.probe_engine());
+  for (size_t i = 0; i < records.size(); ++i) {
+    auto count = oracle.Count(records[i].combination);
+    ASSERT_TRUE(count.ok()) << count.status().ToString();
+    EXPECT_EQ(records[i].num_tuples, *count)
+        << "record " << i << " " << records[i].predicate_sql;
+  }
 }
 
 }  // namespace testing_fixtures

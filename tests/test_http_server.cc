@@ -312,6 +312,34 @@ TEST_F(HttpServerTest, MalformedJsonIs400) {
   }
 }
 
+TEST_F(HttpServerTest, DeeplyNestedPredicateIs400AndServerSurvives) {
+  StartServer();
+  // ~400 KB: a predicate nested 200k parentheses deep. Unbounded recursive
+  // descent would overflow the worker's stack and take every tenant down.
+  const size_t kDepth = 200000;
+  Json body = Json::Object();
+  body.Set("algorithm", Json::Str("combine-two"));
+  body.Set("base_query", Json::Str(kBaseSql));
+  body.Set("key_column", Json::Str("dblp.pid"));
+  Json prefs = Json::Array();
+  Json p = Json::Object();
+  p.Set("predicate", Json::Str(std::string(kDepth, '(') + "dblp.venue='V1'" +
+                               std::string(kDepth, ')')));
+  p.Set("intensity", Json::Double(0.5));
+  prefs.Append(std::move(p));
+  body.Set("preferences", std::move(prefs));
+
+  auto reply = Fetch(port(), "POST", "/v1/alpha/enumerate", body.Dump());
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(reply->status, 400) << reply->body.substr(0, 200);
+  EXPECT_NE(reply->body.find("nests deeper"), std::string::npos)
+      << reply->body.substr(0, 200);
+
+  auto health = Fetch(port(), "GET", "/healthz", "");
+  ASSERT_TRUE(health.ok()) << health.status().ToString();
+  EXPECT_EQ(health->status, 200);
+}
+
 TEST_F(HttpServerTest, UnknownTenantIs404AndUnknownRouteIs404) {
   StartServer();
   auto tenant = Fetch(port(), "POST", "/v1/nobody/enumerate",

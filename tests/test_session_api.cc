@@ -3,11 +3,13 @@
 // The load-bearing guarantee: dispatching an algorithm BY NAME through
 // Session::Enumerate produces byte-identical records/tuples to calling the
 // algorithm's direct entry point on an equivalent enhancer — for all six
-// algorithms, with batching on and off, across thread counts. On top of
-// that: probe budgets truncate deterministically (and identically batched
-// vs scalar), streaming sinks see exactly the collected output, unknown
-// names fail cleanly, the session's engine cache makes repeat requests
-// leaf-query-free, and refresh pins the epoch after mutations.
+// algorithms, with SIMD and scalar word kernels, across thread counts —
+// and those outputs match pinned expectations whose every record count is
+// re-checked against the scalar CombinationProber. On top of that: probe
+// budgets truncate deterministically at pinned points, streaming sinks see
+// exactly the collected output, unknown names fail cleanly, the session's
+// engine cache makes repeat requests leaf-query-free, and refresh pins the
+// epoch after mutations.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -30,8 +32,11 @@ namespace {
 using core::CombinationRecord;
 using core::RankedTuple;
 using core::testing_fixtures::BuildMiniDblp;
+using core::testing_fixtures::ExpectCountsMatchOracle;
 using core::testing_fixtures::MiniBaseQuery;
 using core::testing_fixtures::MiniPreferences;
+using core::testing_fixtures::RenderKeys;
+using core::testing_fixtures::RenderRecords;
 
 void ExpectRecordsEqual(const std::vector<CombinationRecord>& actual,
                         const std::vector<CombinationRecord>& expected,
@@ -98,38 +103,69 @@ class SessionApiTest : public ::testing::Test {
 // --- The differential: Session output == direct entry-point output --------
 
 TEST_F(SessionApiTest, ByteIdenticalToDirectCallsAllSixAlgorithms) {
-  for (bool batching : {true, false}) {
+  // Records are pinned in RenderRecords form (groups '&', OR members '|',
+  // ":num_tuples"), recorded when the scalar and batched probe paths agreed.
+  const std::string kExhaustive =
+      "0&1&2:1 0&2&3:1 0&1:2 0&3&4:1 0&2:2 0&3:2 1&2:2 0&4:1 2&3&4:1 0:4 "
+      "2&3:2 2&4:1 1:3 3&4:2 2:4 3:3 4:3";
+  const std::string kCombineTwoAnd =
+      "0&1:2 0&2:2 0&3:2 0&4:1 1&2:2 1&3:0 1&4:0 2&3:2 2&4:1 3&4:2";
+  const std::string kCombineTwoAndOr =
+      "0&1:2 0|2:6 0&3:2 0|4:6 1&2:2 1|3:6 1&4:0 2&3:2 2|4:6 3&4:2";
+  const std::string kPartiallyCombineAll =
+      "0:4 0&1:2 0|2&1:3 0&3:2 0|2&1|3:6 0|2|4&1|3:6";
+  const std::string kBiasRandom = "0&3:2 1&2&0:1 2&0&1:1 3&0&2:1 4&3&2:1";
+  const size_t kBiasRandomValid = 9;
+  const size_t kBiasRandomInvalid = 6;
+  // [complete, approximate]
+  const std::string kPepsOrder[] = {
+      "0&1&2:1 0&2&3:1 0&1:2 0&3&4:1 0&2:2 0&3:2 1&2:2 0&4:1 2&3&4:1 2&3:2 "
+      "2&4:1 3&4:2",
+      "0&1&2:1 0&2&3:1 0&1:2 0&3&4:1 0&2:2 0&3:2 1&2:2 0&4:1"};
+  const std::string kPepsTopK = "1 7 2 4 6 3";
+
+  // The oracle enhancer is never shared with a run under test.
+  core::QueryEnhancer oracle(&db_, MiniBaseQuery(), "dblp.pid");
+  for (bool simd : {true, false}) {
     for (size_t num_threads : {size_t{1}, size_t{3}}) {
       core::ProbeOptions options;
-      options.batching = batching;
+      options.simd = simd;
       options.num_threads = num_threads;
-      std::string label = std::string("batching=") +
-                          (batching ? "on" : "off") + " threads=" +
-                          std::to_string(num_threads);
+      std::string label = std::string("simd=") + (simd ? "on" : "off") +
+                          " threads=" + std::to_string(num_threads);
       // A fresh direct enhancer per configuration; the session keeps
       // reusing ITS cached engine across all configurations, which is
       // exactly the sharing the equality must survive.
       core::QueryEnhancer direct(&db_, MiniBaseQuery(), "dblp.pid");
+      // Session == direct, every count == the scalar oracle, output == pin.
+      auto check = [&](const std::string& what,
+                       const std::vector<CombinationRecord>& session_records,
+                       const std::vector<CombinationRecord>& direct_records,
+                       const std::string& pin) {
+        ExpectRecordsEqual(session_records, direct_records,
+                           what + " " + label);
+        ExpectCountsMatchOracle(session_records, prefs_, oracle);
+        EXPECT_EQ(RenderRecords(session_records), pin) << what << " " << label;
+      };
 
-      ExpectRecordsEqual(
-          Enumerate(MakeRequest("exhaustive", options)).records,
-          *core::ExhaustiveAndCombinations(prefs_, direct, 20, options),
-          "exhaustive " + label);
+      check("exhaustive", Enumerate(MakeRequest("exhaustive", options)).records,
+            *core::ExhaustiveAndCombinations(prefs_, direct, 20, options),
+            kExhaustive);
 
       for (core::CombineSemantics semantics :
            {core::CombineSemantics::kAnd, core::CombineSemantics::kAndOr}) {
         EnumerationRequest request = MakeRequest("combine-two", options);
         request.semantics = semantics;
-        ExpectRecordsEqual(
-            Enumerate(request).records,
-            *core::CombineTwo(prefs_, direct, semantics, options),
-            "combine-two " + label);
+        check("combine-two", Enumerate(request).records,
+              *core::CombineTwo(prefs_, direct, semantics, options),
+              semantics == core::CombineSemantics::kAnd ? kCombineTwoAnd
+                                                        : kCombineTwoAndOr);
       }
 
-      ExpectRecordsEqual(
-          Enumerate(MakeRequest("partially-combine-all", options)).records,
-          *core::PartiallyCombineAll(prefs_, direct, options),
-          "partially-combine-all " + label);
+      check("partially-combine-all",
+            Enumerate(MakeRequest("partially-combine-all", options)).records,
+            *core::PartiallyCombineAll(prefs_, direct, options),
+            kPartiallyCombineAll);
 
       {
         EnumerationRequest request = MakeRequest("bias-random", options);
@@ -138,11 +174,13 @@ TEST_F(SessionApiTest, ByteIdenticalToDirectCallsAllSixAlgorithms) {
         auto direct_run =
             core::BiasRandomSelection(prefs_, direct, 7, options);
         ASSERT_TRUE(direct_run.ok());
-        ExpectRecordsEqual(result.records, direct_run->records,
-                           "bias-random " + label);
+        check("bias-random", result.records, direct_run->records,
+              kBiasRandom);
         EXPECT_EQ(result.valid_checks, direct_run->valid_checks) << label;
         EXPECT_EQ(result.invalid_checks, direct_run->invalid_checks)
             << label;
+        EXPECT_EQ(result.valid_checks, kBiasRandomValid) << label;
+        EXPECT_EQ(result.invalid_checks, kBiasRandomInvalid) << label;
       }
 
       for (core::PepsMode mode :
@@ -150,13 +188,16 @@ TEST_F(SessionApiTest, ByteIdenticalToDirectCallsAllSixAlgorithms) {
         EnumerationRequest request = MakeRequest("peps", options);
         request.mode = mode;
         core::Peps peps(&prefs_, &direct, options);
-        ExpectRecordsEqual(Enumerate(request).records,
-                           *peps.GenerateOrder(mode), "peps order " + label);
+        check("peps order", Enumerate(request).records,
+              *peps.GenerateOrder(mode),
+              kPepsOrder[mode == core::PepsMode::kComplete ? 0 : 1]);
 
         request.k = 6;
         core::Peps peps_topk(&prefs_, &direct, options);
-        ExpectTuplesEqual(Enumerate(request).top_k,
-                          *peps_topk.TopK(6, mode), "peps topk " + label);
+        EnumerationResult top_k = Enumerate(request);
+        ExpectTuplesEqual(top_k.top_k, *peps_topk.TopK(6, mode),
+                          "peps topk " + label);
+        EXPECT_EQ(RenderKeys(top_k.top_k), kPepsTopK) << label;
       }
 
       {
@@ -190,17 +231,19 @@ TEST_F(SessionApiTest, BudgetTruncatesCombineTwoDeterministically) {
   EXPECT_TRUE(capped.truncated);
   ASSERT_EQ(capped.records.size(), 4u);
   // The budgeted run's records are the generation-order prefix of the full
-  // run, and they are identical batched or scalar.
+  // run, at the pinned truncation point, under any kernel or thread count.
   for (size_t i = 0; i < capped.records.size(); ++i) {
     EXPECT_EQ(capped.records[i].predicate_sql, full.records[i].predicate_sql);
     EXPECT_EQ(capped.records[i].num_tuples, full.records[i].num_tuples);
   }
-  request.probe_options.batching = false;
+  EXPECT_EQ(RenderRecords(capped.records), "0&1:2 0&2:2 0&3:2 0&4:1");
+  request.probe_options.simd = false;
+  request.probe_options.num_threads = 3;
   ExpectRecordsEqual(Enumerate(request).records, capped.records,
-                     "combine-two budget scalar-vs-batched");
+                     "combine-two budget scalar-kernels threads=3");
 
   // A budget exactly covering the run does not truncate.
-  request.probe_options.batching = true;
+  request.probe_options = core::ProbeOptions{};
   request.probe_budget = 10;
   EnumerationResult exact = Enumerate(request);
   EXPECT_FALSE(exact.truncated);
@@ -208,22 +251,36 @@ TEST_F(SessionApiTest, BudgetTruncatesCombineTwoDeterministically) {
 }
 
 TEST_F(SessionApiTest, BudgetTruncatesEveryRecordAlgorithmIdentically) {
-  // For every record-producing algorithm: a small budget truncates, and the
-  // truncated output is identical with batching on and off (the budget is
-  // enforced at generation granularity on both paths).
-  for (const char* algorithm :
-       {"exhaustive", "combine-two", "partially-combine-all", "bias-random",
-        "peps"}) {
-    EnumerationRequest request = MakeRequest(algorithm);
+  // For every record-producing algorithm: a small budget truncates at the
+  // pinned point (the budget is enforced at generation granularity), every
+  // emitted count matches the scalar oracle, and scalar kernels on three
+  // threads truncate identically.
+  struct Pin {
+    const char* algorithm;
+    const char* records;
+  };
+  const Pin pins[] = {
+      {"exhaustive", "0&1:2 0&2:2 0:4 1:3 2:4"},
+      {"combine-two", "0&1:2 0&2:2 0&3:2 0&4:1 1&2:2"},
+      {"partially-combine-all", "0:4 0&1:2 0|2&1:3 0&3:2 0|2&1|3:6"},
+      {"bias-random", "0&3:2"},
+      {"peps", "0&1:2 0&2:2 0&3:2 1&2:2 0&4:1"},
+  };
+  core::QueryEnhancer oracle(&db_, MiniBaseQuery(), "dblp.pid");
+  for (const Pin& pin : pins) {
+    EnumerationRequest request = MakeRequest(pin.algorithm);
     request.seed = 7;
     request.probe_budget = 5;
-    EnumerationResult batched = Enumerate(request);
-    EXPECT_TRUE(batched.truncated) << algorithm;
-    request.probe_options.batching = false;
-    EnumerationResult scalar = Enumerate(request);
-    EXPECT_TRUE(scalar.truncated) << algorithm;
-    ExpectRecordsEqual(scalar.records, batched.records,
-                       std::string(algorithm) + " budget=5");
+    EnumerationResult capped = Enumerate(request);
+    EXPECT_TRUE(capped.truncated) << pin.algorithm;
+    ExpectCountsMatchOracle(capped.records, prefs_, oracle);
+    EXPECT_EQ(RenderRecords(capped.records), pin.records) << pin.algorithm;
+    request.probe_options.simd = false;
+    request.probe_options.num_threads = 3;
+    EnumerationResult variant = Enumerate(request);
+    EXPECT_TRUE(variant.truncated) << pin.algorithm;
+    ExpectRecordsEqual(variant.records, capped.records,
+                       std::string(pin.algorithm) + " budget=5");
   }
 }
 
@@ -372,12 +429,6 @@ TEST_F(SessionApiTest, ProbeStatsReportBatchShape) {
   EXPECT_EQ(batched.stats.num_batched_probes, 10u);  // C(5,2)
   EXPECT_GE(batched.stats.num_shard_passes, batched.stats.num_batches);
   EXPECT_GE(batched.stats.num_cache_hits, batched.stats.num_batched_probes);
-
-  core::ProbeOptions scalar;
-  scalar.batching = false;
-  EnumerationResult unbatched = Enumerate(MakeRequest("combine-two", scalar));
-  EXPECT_EQ(unbatched.stats.num_batches, 0u);
-  EXPECT_EQ(unbatched.stats.num_batched_probes, 0u);
 }
 
 TEST_F(SessionApiTest, RefreshPinsEpochAfterMutations) {

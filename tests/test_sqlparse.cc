@@ -140,6 +140,32 @@ TEST(ParserTest, Errors) {
   EXPECT_FALSE(ParsePredicate("a.b.c=1").ok());
 }
 
+TEST(ParserTest, NestingDepthIsCapped) {
+  auto nested_parens = [](size_t depth) {
+    return std::string(depth, '(') + "a=1" + std::string(depth, ')');
+  };
+  auto not_chain = [](size_t depth) {
+    std::string text;
+    for (size_t i = 0; i < depth; ++i) text += "NOT ";
+    return text + "a=1";
+  };
+  // At the cap (64 levels) both shapes still parse.
+  EXPECT_NE(MustParse(nested_parens(64)), nullptr);
+  EXPECT_NE(MustParse(not_chain(64)), nullptr);
+  EXPECT_NE(MustParse("NOT (" + nested_parens(62) + ")"), nullptr);
+  // One level past it, and far past it, they fail cleanly.
+  for (size_t depth : {size_t{65}, size_t{200000}}) {
+    for (const std::string& text : {nested_parens(depth), not_chain(depth)}) {
+      auto r = ParsePredicate(text);
+      ASSERT_FALSE(r.ok()) << "depth " << depth;
+      EXPECT_EQ(r.status().code(), StatusCode::kParseError);
+      EXPECT_NE(r.status().message().find("nests deeper"), std::string::npos)
+          << r.status().ToString();
+    }
+  }
+  EXPECT_FALSE(ParsePredicate("NOT (" + nested_parens(64) + ")").ok());
+}
+
 TEST(ParserTest, LiteralOnLeft) {
   ExprPtr e = MustParse("2010 <= year");
   EXPECT_EQ(e->ToString(), "2010<=year");
