@@ -16,7 +16,7 @@ using namespace hypre::bench;
 
 int main() {
   auto w = Workload::Create();
-  core::QueryEnhancer enhancer(&w->db, w->BaseQuery(), "dblp.pid");
+  core::ProbeEngine engine(&w->db, w->BaseQuery(), "dblp.pid");
 
   // The seed only matters for qualitative chains with NO user-provided
   // anchor (scenario 3 of §6.3); the focal users' chains are anchored, so
@@ -73,7 +73,7 @@ int main() {
         hi = std::max(hi, e.intensity);
         predicates.push_back(Unwrap(sqlparse::ParsePredicate(e.predicate)));
       }
-      size_t coverage = Unwrap(core::Coverage(enhancer, predicates));
+      size_t coverage = Unwrap(core::Coverage(engine, predicates));
       std::printf("%-10s %8zu %10.4f %10.4f %10.4f %9zu\n",
                   core::DefaultValueStrategyToString(strategy),
                   entries.size(),

@@ -22,8 +22,8 @@ void RunForUser(const Workload& w, core::UserId uid, const char* tag) {
   // Cap profiles so the probe stream stays printable; the paper plots the
   // first ~15 occurrences per size anyway.
   std::vector<core::PreferenceAtom> atoms = w.Atoms(graph, uid, 40);
-  core::QueryEnhancer enhancer(&w.db, w.BaseQuery(), "dblp.pid");
-  auto records = Unwrap(core::PartiallyCombineAll(atoms, enhancer));
+  core::ProbeEngine engine(&w.db, w.BaseQuery(), "dblp.pid");
+  auto records = Unwrap(core::PartiallyCombineAll(atoms, engine));
 
   std::printf("\n=== user %s (uid=%lld, %zu preferences used, %zu probes) "
               "===\n",

@@ -18,7 +18,7 @@ using namespace hypre::bench;
 namespace {
 
 void RunForUser(const Workload& w, core::UserId uid, const char* tag) {
-  core::QueryEnhancer enhancer(&w.db, w.BaseQuery(), "dblp.pid");
+  core::ProbeEngine engine(&w.db, w.BaseQuery(), "dblp.pid");
 
   // Original quantitative predicates (positive intensity only, §4.3).
   std::vector<reldb::ExprPtr> qt;
@@ -53,10 +53,10 @@ void RunForUser(const Workload& w, core::UserId uid, const char* tag) {
   size_t quant_after =
       graph.ListPreferences(uid, /*include_negative=*/true).size();
 
-  size_t cov_qt = Unwrap(core::Coverage(enhancer, qt));
-  size_t cov_ql = Unwrap(core::Coverage(enhancer, ql));
-  size_t cov_qt_ql = Unwrap(core::Coverage(enhancer, qt_ql));
-  size_t cov_hypre = Unwrap(core::Coverage(enhancer, hypre_predicates));
+  size_t cov_qt = Unwrap(core::Coverage(engine, qt));
+  size_t cov_ql = Unwrap(core::Coverage(engine, ql));
+  size_t cov_qt_ql = Unwrap(core::Coverage(engine, qt_ql));
+  size_t cov_hypre = Unwrap(core::Coverage(engine, hypre_predicates));
 
   std::printf("\n=== user %s (uid=%lld) ===\n", tag, (long long)uid);
   std::printf("Figs. 26/27: quantitative preferences before graph = %zu, "

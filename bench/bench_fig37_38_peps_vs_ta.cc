@@ -21,12 +21,12 @@ using namespace hypre::bench;
 namespace {
 
 /// Builds TA's venue/author graded lists from a set of atoms, probing the
-/// enhancer's bitmap engine.
+/// bitmap engine.
 std::vector<core::GradedList> BuildLists(
-    const core::QueryEnhancer& enhancer,
+    const core::ProbeEngine& engine,
     const std::vector<core::PreferenceAtom>& atoms) {
   std::vector<core::GradedList> built = Unwrap(core::BuildGradedLists(
-      enhancer.probe_engine(), atoms, [](const core::PreferenceAtom& atom) {
+      engine, atoms, [](const core::PreferenceAtom& atom) {
         return atom.attribute_key.find("venue") != std::string::npos
                    ? std::string("venue")
                    : std::string("author");
@@ -56,7 +56,7 @@ std::vector<reldb::Value> KeysOf(const std::vector<core::RankedTuple>& list) {
 }
 
 void RunForUser(const Workload& w, core::UserId uid, const char* tag) {
-  core::QueryEnhancer enhancer(&w.db, w.BaseQuery(), "dblp.pid");
+  core::ProbeEngine engine(&w.db, w.BaseQuery(), "dblp.pid");
   constexpr size_t kK = 50;
 
   std::printf("\n=== user %s (uid=%lld) ===\n", tag, (long long)uid);
@@ -65,9 +65,9 @@ void RunForUser(const Workload& w, core::UserId uid, const char* tag) {
   core::HypreGraph quant_graph = w.BuildGraph(uid, false);
   std::vector<core::PreferenceAtom> quant_atoms =
       w.Atoms(quant_graph, uid, 60);
-  std::vector<core::GradedList> lists_q = BuildLists(enhancer, quant_atoms);
+  std::vector<core::GradedList> lists_q = BuildLists(engine, quant_atoms);
   auto ta_q = Unwrap(core::ThresholdAlgorithmTopK(lists_q, kK));
-  core::Peps peps_q(&quant_atoms, &enhancer);
+  core::Peps peps_q(&quant_atoms, &engine);
   auto peps_top_q = Unwrap(peps_q.TopK(kK, core::PepsMode::kComplete));
   std::printf("quantitative-only: similarity %.0f%%, rank agreement %.0f%% "
               "(paper: 100%% / 100%%)\n",
@@ -78,7 +78,7 @@ void RunForUser(const Workload& w, core::UserId uid, const char* tag) {
   core::HypreGraph full_graph = w.BuildGraph(uid);
   std::vector<core::PreferenceAtom> full_atoms =
       w.Atoms(full_graph, uid, 60);
-  core::Peps peps_f(&full_atoms, &enhancer);
+  core::Peps peps_f(&full_atoms, &engine);
   auto peps_top_f = Unwrap(peps_f.TopK(kK, core::PepsMode::kComplete));
 
   std::printf("hybrid graph:      similarity %.0f%%, rank agreement %.0f%% "

@@ -35,7 +35,7 @@ namespace {
 
 struct Micro {
   std::unique_ptr<Workload> w;
-  std::unique_ptr<core::QueryEnhancer> enhancer;
+  std::unique_ptr<core::ProbeEngine> engine;
   reldb::ExprPtr venue_pred;
   reldb::ExprPtr mixed_pred;
   graphdb::GraphStore graph;
@@ -53,7 +53,7 @@ Micro* GetMicro() {
     reldb::Query base;
     base.from = "dblp";
     base.joins.push_back({"dblp_author", "dblp.pid", "pid"});
-    m->enhancer = std::make_unique<core::QueryEnhancer>(&m->w->db, base,
+    m->engine = std::make_unique<core::ProbeEngine>(&m->w->db, base,
                                                         "dblp.pid");
     m->venue_pred =
         Unwrap(sqlparse::ParsePredicate("dblp.venue='SIGMOD'"));
@@ -137,25 +137,25 @@ void BM_SelectParse(benchmark::State& state) {
 BENCHMARK(BM_SelectParse);
 
 void BM_EnhancerProbeCold(benchmark::State& state) {
-  // Fresh enhancer each round: measures the real leaf probes.
+  // Fresh engine each round: measures the real leaf probes.
   Micro* m = GetMicro();
   reldb::Query base;
   base.from = "dblp";
   base.joins.push_back({"dblp_author", "dblp.pid", "pid"});
   for (auto _ : state) {
-    core::QueryEnhancer enhancer(&m->w->db, base, "dblp.pid");
-    auto r = enhancer.CountMatching(m->mixed_pred);
+    core::ProbeEngine engine(&m->w->db, base, "dblp.pid");
+    auto r = engine.CountMatching(m->mixed_pred);
     benchmark::DoNotOptimize(r.value());
   }
 }
 BENCHMARK(BM_EnhancerProbeCold)->Unit(benchmark::kMicrosecond);
 
 void BM_EnhancerProbeWarm(benchmark::State& state) {
-  // Shared enhancer: leaf sets cached, probe reduces to set algebra.
+  // Shared engine: leaf sets cached, probe reduces to set algebra.
   Micro* m = GetMicro();
-  (void)m->enhancer->CountMatching(m->mixed_pred);
+  (void)m->engine->CountMatching(m->mixed_pred);
   for (auto _ : state) {
-    auto r = m->enhancer->CountMatching(m->mixed_pred);
+    auto r = m->engine->CountMatching(m->mixed_pred);
     benchmark::DoNotOptimize(r.value());
   }
 }
@@ -165,7 +165,7 @@ BENCHMARK(BM_EnhancerProbeWarm);
 //
 // Both benchmarks evaluate the same warm probe (leaf sets already cached) so
 // the measured cost is pure set algebra: the hash-set reference replays the
-// intersection/union loops QueryEnhancer ran before the probe engine; the
+// intersection/union loops query enhancement ran before the probe engine; the
 // bitmap path is the engine's word-wise ops + popcount. The count cache is
 // bypassed in both so each iteration really re-runs the algebra.
 
@@ -212,7 +212,7 @@ class HashSetAlgebra {
         return acc;
       }
       default: {
-        // Leaf: cached probe, same as the old enhancer.
+        // Leaf: cached probe, same as the legacy evaluation.
         std::string key = expr->ToString();
         auto it = leaf_cache_.find(key);
         if (it == leaf_cache_.end()) {
@@ -278,7 +278,7 @@ BENCHMARK(BM_ProbeAlgebraBitmap)->Unit(benchmark::kMicrosecond);
 
 struct BatchBench {
   std::unique_ptr<Workload> w;
-  std::unique_ptr<core::QueryEnhancer> enhancer;
+  std::unique_ptr<core::ProbeEngine> engine;
   reldb::Query base;
   std::vector<core::PreferenceAtom> atoms;
   std::unique_ptr<core::Combiner> combiner;
@@ -298,7 +298,7 @@ BatchBench* GetBatchBench() {
     b->w->stats = Unwrap(workload::GenerateDblp(config, &b->w->db));
     b->base.from = "dblp";
     b->base.joins.push_back({"dblp_author", "dblp.pid", "pid"});
-    b->enhancer = std::make_unique<core::QueryEnhancer>(&b->w->db, b->base,
+    b->engine = std::make_unique<core::ProbeEngine>(&b->w->db, b->base,
                                                         "dblp.pid");
     auto add = [&](const std::string& pred, double intensity) {
       b->atoms.push_back(Unwrap(core::MakeAtom(pred, intensity)));
@@ -314,7 +314,7 @@ BatchBench* GetBatchBench() {
     core::SortByIntensityDesc(&b->atoms);
     b->combiner = std::make_unique<core::Combiner>(&b->atoms);
     b->prober = std::make_unique<core::CombinationProber>(
-        b->combiner.get(), &b->enhancer->probe_engine());
+        b->combiner.get(), b->engine.get());
     Status st = b->prober->PrefetchAll();
     if (!st.ok()) Die(st);
     Rng rng(7);
@@ -488,14 +488,14 @@ void RunPairTable(benchmark::State& state, bool cold, size_t num_threads = 1) {
   options.num_threads = num_threads;
   if (num_threads != 1) options.pool = BenchPool();
   for (auto _ : state) {
-    std::unique_ptr<core::QueryEnhancer> fresh;
-    const core::QueryEnhancer* enhancer = b->enhancer.get();
+    std::unique_ptr<core::ProbeEngine> fresh;
+    const core::ProbeEngine* engine = b->engine.get();
     if (cold) {
-      fresh = std::make_unique<core::QueryEnhancer>(&b->w->db, b->base,
+      fresh = std::make_unique<core::ProbeEngine>(&b->w->db, b->base,
                                                     "dblp.pid");
-      enhancer = fresh.get();
+      engine = fresh.get();
     }
-    core::Peps peps(&b->atoms, enhancer, options);
+    core::Peps peps(&b->atoms, engine, options);
     Status st = peps.PrecomputePairs();
     if (!st.ok()) {
       state.SkipWithError("precompute failed");
@@ -530,14 +530,14 @@ BENCHMARK(BM_PepsPairTableColdBatchWS)->Unit(benchmark::kMillisecond);
 // author link each) and the same number of deleted papers — then brings a
 // warm engine back to a probe-ready state either incrementally (Refresh;
 // the shared prober re-derives its bitmaps from the patched caches) or from
-// scratch (fresh QueryEnhancer + PrefetchAll). One representative
+// scratch (fresh ProbeEngine + PrefetchAll). One representative
 // combination probe closes each iteration so both variants end probe-ready.
 // items_per_second == mutations absorbed per second.
 
 struct DeltaBench {
   std::unique_ptr<Workload> w;
   reldb::Query base;
-  std::unique_ptr<core::QueryEnhancer> enhancer;
+  std::unique_ptr<core::ProbeEngine> engine;
   std::unique_ptr<api::Session> session;
   std::vector<core::PreferenceAtom> atoms;
   std::unique_ptr<core::Combiner> combiner;
@@ -560,7 +560,7 @@ DeltaBench* GetDeltaBench() {
     b->next_pid = static_cast<int64_t>(config.num_papers);
     b->base.from = "dblp";
     b->base.joins.push_back({"dblp_author", "dblp.pid", "pid"});
-    b->enhancer = std::make_unique<core::QueryEnhancer>(&b->w->db, b->base,
+    b->engine = std::make_unique<core::ProbeEngine>(&b->w->db, b->base,
                                                         "dblp.pid");
     auto add = [&](const std::string& pred, double intensity) {
       b->atoms.push_back(Unwrap(core::MakeAtom(pred, intensity)));
@@ -576,7 +576,7 @@ DeltaBench* GetDeltaBench() {
     core::SortByIntensityDesc(&b->atoms);
     b->combiner = std::make_unique<core::Combiner>(&b->atoms);
     b->prober = std::make_unique<core::CombinationProber>(
-        b->combiner.get(), &b->enhancer->probe_engine());
+        b->combiner.get(), b->engine.get());
     Status st = b->prober->PrefetchAll();
     if (!st.ok()) Die(st);
     b->probe_combo = b->combiner->MixedClause({0, 5, 20});
@@ -591,9 +591,9 @@ DeltaBench* GetDeltaBench() {
 // Both benchmarks run the identical PEPS workload — construct a Peps over
 // the 24 warm, prefetched preference leaves and GenerateOrder (dominated by
 // the C(24,2) batched pair table) — against the 100k-paper database. The
-// Direct variant calls the algorithm on a long-lived QueryEnhancer the way
+// Direct variant calls the algorithm on a long-lived ProbeEngine the way
 // pre-API call sites did; the Session variant goes through the full unified
-// API path: registry lookup by name, enhancer-cache hit, no-op Refresh
+// API path: algorithm lookup by name, engine-cache hit, no-op Refresh
 // (epoch pin), preference copy + sort, leaf-prefetch dedup, and the
 // per-request ProbeStats delta. The difference is the facade tax on a warm
 // request (acceptance: <= 5%). Registered BEFORE the churn benches so both
@@ -602,7 +602,7 @@ DeltaBench* GetDeltaBench() {
 void BM_PepsOrderWarmDirect(benchmark::State& state) {
   DeltaBench* b = GetDeltaBench();
   for (auto _ : state) {
-    core::Peps peps(&b->atoms, b->enhancer.get(), core::ProbeOptions{});
+    core::Peps peps(&b->atoms, b->engine.get(), core::ProbeOptions{});
     auto order = peps.GenerateOrder(core::PepsMode::kComplete);
     if (!order.ok()) {
       state.SkipWithError("direct GenerateOrder failed");
@@ -780,7 +780,7 @@ void BM_UpdateChurnIncrementalRefresh(benchmark::State& state) {
     state.PauseTiming();
     ApplyChurn(b, churn);
     state.ResumeTiming();
-    auto epoch = b->enhancer->Refresh();
+    auto epoch = b->engine->Refresh();
     if (!epoch.ok()) Die(epoch.status());
     benchmark::DoNotOptimize(b->prober->Count(b->probe_combo).value());
   }
@@ -798,8 +798,8 @@ void BM_UpdateChurnFullRebuild(benchmark::State& state) {
     state.PauseTiming();
     ApplyChurn(b, churn);
     state.ResumeTiming();
-    core::QueryEnhancer fresh(&b->w->db, b->base, "dblp.pid");
-    core::CombinationProber prober(b->combiner.get(), &fresh.probe_engine());
+    core::ProbeEngine fresh(&b->w->db, b->base, "dblp.pid");
+    core::CombinationProber prober(b->combiner.get(), &fresh);
     Status st = prober.PrefetchAll();
     if (!st.ok()) Die(st);
     benchmark::DoNotOptimize(prober.Count(b->probe_combo).value());

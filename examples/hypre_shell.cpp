@@ -2,7 +2,7 @@
 // system" face of the library. Loads the synthetic DBLP workload into a
 // Session and lets you manage a profile and personalize queries from a
 // prompt. Every personalization command dispatches by NAME through the
-// unified enumeration API (api::Session + EnumeratorRegistry), so all six
+// unified enumeration API (api::Session + api::kAlgorithms), so all six
 // combination algorithms are one `\algo` switch away.
 //
 //   $ ./hypre_shell [num_papers]
@@ -137,16 +137,14 @@ int main(int argc, char** argv) {
       std::string name;
       in >> name;
       if (name.empty()) {
-        for (const api::CombinationEnumerator* e :
-             api::EnumeratorRegistry::Global().Enumerators()) {
-          std::printf("  %c %-22s %s\n",
-                      e->name() == algorithm ? '*' : ' ',
-                      std::string(e->name()).c_str(),
-                      std::string(e->description()).c_str());
+        for (const api::Algorithm& a : api::kAlgorithms) {
+          std::printf("  %c %-22s %s\n", a.name == algorithm ? '*' : ' ',
+                      std::string(a.name).c_str(),
+                      std::string(a.description).c_str());
         }
         continue;
       }
-      auto found = api::EnumeratorRegistry::Global().Find(name);
+      auto found = api::FindAlgorithm(name);
       if (!found.ok()) {
         std::printf("%s\n", found.status().ToString().c_str());
         continue;

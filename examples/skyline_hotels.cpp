@@ -122,7 +122,7 @@ int main() {
   reldb::Query base;
   base.from = "hotel";
   const core::ProbeEngine& engine =
-      Unwrap(session.GetEnhancer(base, "hotel.name"))->probe_engine();
+      *Unwrap(session.GetEngine(base, "hotel.name"));
 
   std::vector<core::PreferenceAtom> atoms;
   auto add = [&](const char* pred, double intensity) {

@@ -52,10 +52,10 @@ void Record(const Combiner& combiner, const EnumerationControl& control,
 
 Result<BiasRandomResult> BiasRandomSelection(
     const std::vector<PreferenceAtom>& preferences,
-    const QueryEnhancer& enhancer, uint64_t seed,
+    const ProbeEngine& engine, uint64_t seed,
     const ProbeOptions& options, const EnumerationControl& control) {
   Combiner combiner(&preferences);
-  CombinationProber prober(&combiner, &enhancer.probe_engine());
+  CombinationProber prober(&combiner, &engine);
   BatchProber batch(&prober, options);
   if (!preferences.empty()) HYPRE_RETURN_NOT_OK(prober.PrefetchAll());
   BiasRandomResult result;
@@ -130,7 +130,7 @@ Result<BiasRandomResult> BiasRandomSelection(
         HYPRE_ASSIGN_OR_RETURN(const KeyBitmap* next_bits,
                                prober.PreferenceBits(next));
         size_t extended_count = KeyBitmap::AndCount(chain_bits, *next_bits);
-        enhancer.probe_engine().NoteProbesAnswered(1);
+        engine.NoteProbesAnswered(1);
         if (!consult(extended_count)) {
           Record(combiner, control, chain, chain_count, &result.records);
           break;

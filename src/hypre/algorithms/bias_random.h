@@ -14,7 +14,7 @@
 #include "hypre/algorithms/common.h"
 #include "hypre/batch_prober.h"
 #include "hypre/preference.h"
-#include "hypre/query_enhancement.h"
+#include "hypre/probe_engine.h"
 
 namespace hypre {
 namespace core {
@@ -48,7 +48,7 @@ struct BiasRandomResult {
 /// compatibility entry point it wraps.
 Result<BiasRandomResult> BiasRandomSelection(
     const std::vector<PreferenceAtom>& preferences,
-    const QueryEnhancer& enhancer, uint64_t seed,
+    const ProbeEngine& engine, uint64_t seed,
     const ProbeOptions& options = ProbeOptions{},
     const EnumerationControl& control = EnumerationControl{});
 

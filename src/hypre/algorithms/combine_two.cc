@@ -5,10 +5,10 @@ namespace core {
 
 Result<std::vector<CombinationRecord>> CombineTwo(
     const std::vector<PreferenceAtom>& preferences,
-    const QueryEnhancer& enhancer, CombineSemantics semantics,
+    const ProbeEngine& engine, CombineSemantics semantics,
     const ProbeOptions& options, const EnumerationControl& control) {
   Combiner combiner(&preferences);
-  CombinationProber prober(&combiner, &enhancer.probe_engine());
+  CombinationProber prober(&combiner, &engine);
   BatchProber batch(&prober, options);
   std::vector<CombinationRecord> records;
   if (preferences.size() < 2) return records;

@@ -16,7 +16,7 @@
 #include "hypre/algorithms/common.h"
 #include "hypre/batch_prober.h"
 #include "hypre/preference.h"
-#include "hypre/query_enhancement.h"
+#include "hypre/probe_engine.h"
 
 namespace hypre {
 namespace core {
@@ -36,7 +36,7 @@ enum class CombineSemantics { kAnd, kAndOr };
 /// compatibility entry point it wraps.
 Result<std::vector<CombinationRecord>> CombineTwo(
     const std::vector<PreferenceAtom>& preferences,
-    const QueryEnhancer& enhancer, CombineSemantics semantics,
+    const ProbeEngine& engine, CombineSemantics semantics,
     const ProbeOptions& options = ProbeOptions{},
     const EnumerationControl& control = EnumerationControl{});
 

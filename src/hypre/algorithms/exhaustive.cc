@@ -9,17 +9,17 @@ namespace core {
 
 Result<std::vector<CombinationRecord>> ExhaustiveAndCombinations(
     const std::vector<PreferenceAtom>& preferences,
-    const QueryEnhancer& enhancer, size_t max_n,
-    const ProbeOptions& options, const EnumerationControl& control) {
+    const ProbeEngine& engine, const ProbeOptions& options,
+    const EnumerationControl& control) {
   size_t n = preferences.size();
-  if (n > max_n) {
+  if (n > kMaxExhaustivePreferences) {
     return Status::InvalidArgument(StringFormat(
         "exhaustive enumeration over %zu preferences would probe 2^%zu - 1 "
         "combinations (cap %zu)",
-        n, n, max_n));
+        n, n, kMaxExhaustivePreferences));
   }
   Combiner combiner(&preferences);
-  CombinationProber prober(&combiner, &enhancer.probe_engine());
+  CombinationProber prober(&combiner, &engine);
   BatchProber batch(&prober, options);
   if (n > 0) HYPRE_RETURN_NOT_OK(prober.PrefetchAll());
   std::vector<CombinationRecord> records;

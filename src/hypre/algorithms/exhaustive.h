@@ -12,14 +12,19 @@
 #include "hypre/algorithms/common.h"
 #include "hypre/batch_prober.h"
 #include "hypre/preference.h"
-#include "hypre/query_enhancement.h"
+#include "hypre/probe_engine.h"
 
 namespace hypre {
 namespace core {
 
+/// \brief Largest preference list exhaustive enumeration accepts: 2^20 - 1
+/// probes is the most any caller (tests, benches, the wire) asks for, and a
+/// longer list would pin its thread for hours (2^N blowup).
+constexpr size_t kMaxExhaustivePreferences = 20;
+
 /// \brief All applicable AND combinations (any size >= 1), descending by
-/// combined intensity. Fails with InvalidArgument when N > `max_n`
-/// (default 20) to prevent accidental 2^N blowups. The subset space is
+/// combined intensity. Fails with InvalidArgument when N exceeds
+/// kMaxExhaustivePreferences. The subset space is
 /// probed in fixed-size batched generations (bulk leaf prefetch + blocked
 /// shard passes).
 ///
@@ -30,7 +35,7 @@ namespace core {
 /// free function is the compatibility entry point it wraps.
 Result<std::vector<CombinationRecord>> ExhaustiveAndCombinations(
     const std::vector<PreferenceAtom>& preferences,
-    const QueryEnhancer& enhancer, size_t max_n = 20,
+    const ProbeEngine& engine,
     const ProbeOptions& options = ProbeOptions{},
     const EnumerationControl& control = EnumerationControl{});
 

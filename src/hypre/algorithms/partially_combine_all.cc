@@ -43,10 +43,10 @@ Status RunGeneration(const Combiner& combiner, const BatchProber& batch,
 
 Result<std::vector<CombinationRecord>> PartiallyCombineAll(
     const std::vector<PreferenceAtom>& preferences,
-    const QueryEnhancer& enhancer, const ProbeOptions& options,
+    const ProbeEngine& engine, const ProbeOptions& options,
     const EnumerationControl& control) {
   Combiner combiner(&preferences);
-  CombinationProber prober(&combiner, &enhancer.probe_engine());
+  CombinationProber prober(&combiner, &engine);
   BatchProber batch(&prober, options);
   if (!preferences.empty()) HYPRE_RETURN_NOT_OK(prober.PrefetchAll());
   std::vector<CombinationRecord> records;

@@ -22,7 +22,7 @@
 #include "hypre/algorithms/common.h"
 #include "hypre/batch_prober.h"
 #include "hypre/preference.h"
-#include "hypre/query_enhancement.h"
+#include "hypre/probe_engine.h"
 
 namespace hypre {
 namespace core {
@@ -42,7 +42,7 @@ namespace core {
 /// the compatibility entry point it wraps.
 Result<std::vector<CombinationRecord>> PartiallyCombineAll(
     const std::vector<PreferenceAtom>& preferences,
-    const QueryEnhancer& enhancer,
+    const ProbeEngine& engine,
     const ProbeOptions& options = ProbeOptions{},
     const EnumerationControl& control = EnumerationControl{});
 

@@ -8,11 +8,11 @@ namespace hypre {
 namespace core {
 
 Peps::Peps(const std::vector<PreferenceAtom>* preferences,
-           const QueryEnhancer* enhancer, ProbeOptions options)
+           const ProbeEngine* engine, ProbeOptions options)
     : preferences_(preferences),
-      enhancer_(enhancer),
+      engine_(engine),
       combiner_(preferences),
-      prober_(&combiner_, &enhancer->probe_engine()),
+      prober_(&combiner_, engine),
       options_(options),
       batch_(&prober_, options) {}
 
@@ -216,8 +216,7 @@ Result<std::vector<RankedTuple>> Peps::TopK(
     if (k > 0 && result.size() >= k) break;
     HYPRE_RETURN_NOT_OK(prober_.BitsInto(record.combination, &bits));
     // KeysOf is deterministic: keys come out in Value total order.
-    std::vector<reldb::Value> keys =
-        enhancer_->probe_engine().KeysOf(bits);
+    std::vector<reldb::Value> keys = engine_->KeysOf(bits);
     for (const auto& key : keys) {
       if (k > 0 && result.size() >= k) break;
       if (!ranked.insert(key).second) continue;

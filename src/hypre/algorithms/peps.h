@@ -27,7 +27,7 @@
 #include "hypre/algorithms/common.h"
 #include "hypre/batch_prober.h"
 #include "hypre/preference.h"
-#include "hypre/query_enhancement.h"
+#include "hypre/probe_engine.h"
 #include "hypre/ranking.h"
 
 namespace hypre {
@@ -46,14 +46,14 @@ struct PairEntry {
 class Peps {
  public:
   /// `preferences` must be sorted descending by intensity and must outlive
-  /// the engine; `enhancer` likewise. All probes run through the enhancer's
+  /// the Peps object; `engine` likewise. All probes run through the
   /// bitmap-backed probe engine: the preference leaf bitmaps are
   /// bulk-prefetched in one executor pass, the pair table is one batched
   /// upper-triangle pass, and DFS expansion batches all candidate
   /// extensions of a popped frame into one blocked shard pass (optionally
   /// multi-threaded via options.num_threads).
   explicit Peps(const std::vector<PreferenceAtom>* preferences,
-                const QueryEnhancer* enhancer,
+                const ProbeEngine* engine,
                 ProbeOptions options = ProbeOptions{});
 
   // prober_ points at combiner_, so default copy/move would leave the new
@@ -97,7 +97,7 @@ class Peps {
 
  private:
   const std::vector<PreferenceAtom>* preferences_;
-  const QueryEnhancer* enhancer_;
+  const ProbeEngine* engine_;
   Combiner combiner_;
   CombinationProber prober_;
   ProbeOptions options_;

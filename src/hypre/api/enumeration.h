@@ -1,17 +1,17 @@
 // Unified enumeration API: one request/response shape for all six
 // combination algorithms.
 //
-// The dissertation's algorithms (§5.3-§5.5) grew up as six divergent entry
-// points — free functions, the Peps class, TA's graded-list pipeline — each
-// hand-wired to a QueryEnhancer the caller had to assemble. This layer
-// turns algorithm choice into a REQUEST PARAMETER:
+// The six algorithms (§5.3-§5.5) keep divergent entry points — free
+// functions, the Peps class, TA's graded-list pipeline — each taking a
+// ProbeEngine the caller has to build. This layer turns algorithm choice
+// into a REQUEST PARAMETER:
 //
 //   EnumerationRequest{algorithm="peps", base_query, key_column,
 //                      preferences, k, probe_budget, sinks, ...}
 //         │
 //         ▼
-//   Session::Enumerate ── registry lookup ("exhaustive", "combine-two",
-//                         "partially-combine-all", "bias-random", "peps",
+//   Session::Enumerate ── FindAlgorithm ("bias-random", "combine-two",
+//                         "exhaustive", "partially-combine-all", "peps",
 //                         "ta") ── cached ProbeEngine per (base query, key
 //                         column) ── epoch pinned via Refresh() ── run
 //         │
@@ -26,8 +26,7 @@
 // tests/test_session_api.cc).
 #pragma once
 
-#include <memory>
-#include <mutex>
+#include <array>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -39,7 +38,6 @@
 #include "hypre/batch_prober.h"
 #include "hypre/preference.h"
 #include "hypre/probe_engine.h"
-#include "hypre/query_enhancement.h"
 #include "hypre/ranking.h"
 #include "hypre/telemetry/trace.h"
 #include "reldb/executor.h"
@@ -51,8 +49,8 @@ namespace api {
 /// site before — algorithm, query, preferences, per-algorithm knobs, probe
 /// options, budget, sinks — as data.
 struct EnumerationRequest {
-  /// Registry name: "exhaustive", "combine-two", "partially-combine-all",
-  /// "bias-random", "peps", or "ta".
+  /// Algorithm name (see kAlgorithms): "exhaustive", "combine-two",
+  /// "partially-combine-all", "bias-random", "peps", or "ta".
   std::string algorithm;
   /// Query skeleton the probes run against (FROM/JOINs; an existing WHERE
   /// is a hard constraint every probe keeps).
@@ -74,8 +72,6 @@ struct EnumerationRequest {
   core::PepsMode mode = core::PepsMode::kComplete;
   /// "bias-random": draw seed (runs are deterministic per seed).
   uint64_t seed = 0;
-  /// "exhaustive": refuse preference lists longer than this (2^N guard).
-  size_t max_exhaustive_n = 20;
 
   /// Batch-probe knobs, threaded through every algorithm.
   core::ProbeOptions probe_options;
@@ -111,7 +107,7 @@ struct EnumerationRequest {
   uint64_t admission_timeout_ms = 0;
 
   /// Collect a per-request trace: EnumerationResult::trace gets one span
-  /// per timed phase (enhancer cache, refresh, prefetch, batch passes, WAL
+  /// per timed phase (engine cache, refresh, prefetch, batch passes, WAL
   /// and checkpoint work) with parent/child nesting. Off by default — the
   /// probe hot path stays untouched; in a -DHYPRE_TELEMETRY=OFF build the
   /// flag is accepted but the trace comes back empty.
@@ -119,8 +115,8 @@ struct EnumerationRequest {
 };
 
 /// \brief One enumeration response. Which payload is filled depends on the
-/// algorithm: combination enumerators fill `records`; "ta" (and "peps" with
-/// k > 0) fill `top_k`.
+/// algorithm: the combination algorithms fill `records`; "ta" (and "peps"
+/// with k > 0) fill `top_k`.
 struct EnumerationResult {
   /// Combination records, in the algorithm's documented output order.
   std::vector<core::CombinationRecord> records;
@@ -146,69 +142,40 @@ struct EnumerationResult {
   telemetry::Trace trace;
 };
 
-/// \brief Everything an enumerator implementation receives: the session's
-/// cached enhancer, the intensity-sorted preference list, the original
-/// request, and the budget/sink control plane already wired to the result.
+/// \brief Everything an algorithm receives: the session's cached engine,
+/// the intensity-sorted preference list, the original request, and the
+/// budget/sink control plane already wired to the result.
 struct EnumerationContext {
-  const core::QueryEnhancer* enhancer = nullptr;
+  const core::ProbeEngine* engine = nullptr;
   /// Sorted descending by intensity (the session sorts its own copy).
   const std::vector<core::PreferenceAtom>* preferences = nullptr;
   const EnumerationRequest* request = nullptr;
   /// The request's probe options with the session's runtime filled in: when
   /// the request names no pool and asks for more than one thread, the
-  /// session injects its own persistent TaskPool here. Enumerators read
+  /// session injects its own persistent TaskPool here. Algorithms read
   /// THIS copy, not request->probe_options.
   core::ProbeOptions probe_options;
   core::EnumerationControl control;
 };
 
-/// \brief One algorithm behind the unified API. Implementations are
-/// stateless dispatchers (per-run state lives in the Run call), so one
-/// registered instance serves every session and request.
-class CombinationEnumerator {
- public:
-  virtual ~CombinationEnumerator() = default;
-
-  /// \brief Registry key ("peps", "combine-two", ...).
-  virtual std::string_view name() const = 0;
-  /// \brief One-line description for listings (shell \algo, errors).
-  virtual std::string_view description() const = 0;
-  /// \brief Runs the algorithm; fills result->records / result->top_k (and
-  /// the bias-random tallies). The session owns stats/epoch/truncated.
-  virtual Status Run(const EnumerationContext& ctx,
-                     EnumerationResult* result) const = 0;
+/// \brief One algorithm behind the unified API.
+struct Algorithm {
+  /// Request key ("peps", "combine-two", ...).
+  std::string_view name;
+  /// One-line description for listings (shell \algo, errors).
+  std::string_view description;
+  /// Runs the algorithm; fills result->records / result->top_k (and the
+  /// bias-random tallies). Stateless: per-run state lives in the call. The
+  /// session owns stats/epoch/truncated.
+  Status (*run)(const EnumerationContext& ctx, EnumerationResult* result);
 };
 
-/// \brief Name-keyed registry of enumerators — the dispatch point request
-/// routing (and the ROADMAP's distributed-probe split) goes through.
-/// Registration and lookup are mutex-guarded, so one process-wide registry
-/// safely serves concurrent per-tenant sessions even if a tenant registers
-/// a custom enumerator late; the returned enumerator pointers themselves
-/// are stable for the registry's lifetime (entries are never removed).
-class EnumeratorRegistry {
- public:
-  /// \brief The process-wide registry, with the six built-in algorithms
-  /// registered on first use.
-  static EnumeratorRegistry& Global();
+/// \brief The six built-in algorithms, sorted by name.
+extern const std::array<Algorithm, 6> kAlgorithms;
 
-  /// \brief Registers an enumerator under its name(). Fails with
-  /// AlreadyExists on a duplicate name.
-  Status Register(std::unique_ptr<CombinationEnumerator> enumerator);
-
-  /// \brief Looks up an enumerator; unknown names fail with
-  /// InvalidArgument naming the registered algorithms.
-  Result<const CombinationEnumerator*> Find(const std::string& name) const;
-
-  /// \brief Registered names, sorted.
-  std::vector<std::string> Names() const;
-
-  /// \brief The registered enumerators, sorted by name (for listings).
-  std::vector<const CombinationEnumerator*> Enumerators() const;
-
- private:
-  mutable std::mutex mutex_;
-  std::vector<std::unique_ptr<CombinationEnumerator>> enumerators_;
-};
+/// \brief Looks up an algorithm by name; unknown names fail with
+/// InvalidArgument listing the six names.
+Result<const Algorithm*> FindAlgorithm(std::string_view name);
 
 }  // namespace api
 }  // namespace hypre

@@ -62,7 +62,7 @@ Session::~Session() {
   }
 }
 
-Result<core::QueryEnhancer*> Session::GetEnhancer(
+Result<core::ProbeEngine*> Session::GetEngine(
     const reldb::Query& base_query, const std::string& key_column) {
   if (base_query.from.empty()) {
     return Status::InvalidArgument("request has no base query (FROM empty)");
@@ -79,31 +79,31 @@ Result<core::QueryEnhancer*> Session::GetEnhancer(
   {
     // Fast path: every request after the first over a query spec finds its
     // engine under the shared lock, so concurrent readers never serialize.
-    std::shared_lock<std::shared_mutex> lock(enhancers_mu_);
-    auto it = enhancers_.find(key);
-    if (it != enhancers_.end()) {
+    std::shared_lock<std::shared_mutex> lock(engines_mu_);
+    auto it = engines_.find(key);
+    if (it != engines_.end()) {
       telemetry::TraceNote("api", "enhancer_cache_hit");
       return it->second.get();
     }
   }
-  std::unique_lock<std::shared_mutex> lock(enhancers_mu_);
+  std::unique_lock<std::shared_mutex> lock(engines_mu_);
   // Re-check: another first-touch request may have built the engine while
   // this one upgraded its lock — find-or-create must resolve to ONE engine.
-  auto it = enhancers_.find(key);
-  if (it != enhancers_.end()) {
+  auto it = engines_.find(key);
+  if (it != engines_.end()) {
     telemetry::TraceNote("api", "enhancer_cache_hit");
     return it->second.get();
   }
   telemetry::TraceNote("api", "enhancer_cache_miss");
-  it = enhancers_
-           .emplace(std::move(key), std::make_unique<core::QueryEnhancer>(
+  it = engines_
+           .emplace(std::move(key), std::make_unique<core::ProbeEngine>(
                                         db_, base_query, key_column))
            .first;
   // A pool created before this engine existed missed it in its attach
   // sweep; attaching under the unique lock pairs with that sweep's shared
   // lock, so exactly one of the two paths always sees the other's work.
   if (parallel::TaskPool* pool = pool_ptr_.load(std::memory_order_acquire)) {
-    it->second->probe_engine().set_task_pool(pool);
+    it->second->set_task_pool(pool);
   }
   return it->second.get();
 }
@@ -117,31 +117,31 @@ parallel::TaskPool* Session::task_pool() {
     pool_ = std::make_unique<parallel::TaskPool>();
     // Publish BEFORE the attach sweep: an engine inserted concurrently
     // either lands in the sweep below or observes the published pointer in
-    // GetEnhancer — never neither.
+    // GetEngine — never neither.
     pool_ptr_.store(pool_.get(), std::memory_order_release);
-    std::shared_lock<std::shared_mutex> engines(enhancers_mu_);
-    for (auto& [key, enhancer] : enhancers_) {
-      enhancer->probe_engine().set_task_pool(pool_.get());
+    std::shared_lock<std::shared_mutex> engines(engines_mu_);
+    for (auto& [key, engine] : engines_) {
+      engine->set_task_pool(pool_.get());
     }
   }
   return pool_.get();
 }
 
 Result<uint64_t> Session::Refresh() {
-  std::shared_lock<std::shared_mutex> lock(enhancers_mu_);
+  std::shared_lock<std::shared_mutex> lock(engines_mu_);
   uint64_t epoch = 0;
-  for (auto& [key, enhancer] : enhancers_) {
-    HYPRE_ASSIGN_OR_RETURN(uint64_t e, enhancer->Refresh());
+  for (auto& [key, engine] : engines_) {
+    HYPRE_ASSIGN_OR_RETURN(uint64_t e, engine->Refresh());
     epoch = std::max(epoch, e);
   }
   return epoch;
 }
 
 Result<uint64_t> Session::RefreshAllBlocking() {
-  std::shared_lock<std::shared_mutex> lock(enhancers_mu_);
+  std::shared_lock<std::shared_mutex> lock(engines_mu_);
   uint64_t epoch = 0;
-  for (auto& [key, enhancer] : enhancers_) {
-    HYPRE_ASSIGN_OR_RETURN(uint64_t e, enhancer->RefreshBlocking());
+  for (auto& [key, engine] : engines_) {
+    HYPRE_ASSIGN_OR_RETURN(uint64_t e, engine->RefreshBlocking());
     epoch = std::max(epoch, e);
   }
   return epoch;
@@ -151,20 +151,20 @@ std::vector<storage::SnapshotEngineState> Session::CaptureEngineStates()
     const {
   // Sorted by cache key so identical sessions write byte-identical
   // snapshots (the unordered_map's iteration order is not stable).
-  std::map<std::string, const core::QueryEnhancer*> ordered;
+  std::map<std::string, const core::ProbeEngine*> ordered;
   {
-    std::shared_lock<std::shared_mutex> lock(enhancers_mu_);
-    for (const auto& [key, enhancer] : enhancers_) {
-      ordered.emplace(key, enhancer.get());
+    std::shared_lock<std::shared_mutex> lock(engines_mu_);
+    for (const auto& [key, engine] : engines_) {
+      ordered.emplace(key, engine.get());
     }
   }
   std::vector<storage::SnapshotEngineState> states;
   states.reserve(ordered.size());
-  for (const auto& [key, enhancer] : ordered) {
+  for (const auto& [key, engine] : ordered) {
     storage::SnapshotEngineState state;
-    state.base_sql = enhancer->base_query().ToSql();
-    state.key_column = enhancer->key_column();
-    state.image = enhancer->CaptureSnapshotImage();
+    state.base_sql = engine->base_query().ToSql();
+    state.key_column = engine->key_column();
+    state.image = engine->CaptureSnapshotImage();
     states.push_back(std::move(state));
   }
   return states;
@@ -357,9 +357,9 @@ Status Session::MaybeAutoCheckpoint() {
   HYPRE_ASSIGN_OR_RETURN(uint64_t epoch, Refresh());
   (void)epoch;
   {
-    std::shared_lock<std::shared_mutex> lock(enhancers_mu_);
-    for (const auto& [key, enhancer] : enhancers_) {
-      if (enhancer->probe_engine().has_deferred_refresh()) {
+    std::shared_lock<std::shared_mutex> lock(engines_mu_);
+    for (const auto& [key, engine] : engines_) {
+      if (engine->has_deferred_refresh()) {
         HYPRE_TELEMETRY_STMT(
             telemetry::MetricsRegistry::Global()
                 .GetCounter(
@@ -400,7 +400,7 @@ Result<std::unique_ptr<Session>> Session::OpenFromSnapshot(
   session->store_ = std::move(store);
   for (const storage::SnapshotEngineState& state : contents.engines) {
     // The persisted base SQL round-trips through the SELECT parser into
-    // the same Query (and therefore the same enhancer cache key) it was
+    // the same Query (and therefore the same engine cache key) it was
     // rendered from.
     auto stmt = sqlparse::ParseSelect(state.base_sql);
     if (!stmt.ok()) {
@@ -409,9 +409,9 @@ Result<std::unique_ptr<Session>> Session::OpenFromSnapshot(
                               "' failed to parse: " + stmt.status().message());
     }
     HYPRE_ASSIGN_OR_RETURN(
-        core::QueryEnhancer * enhancer,
-        session->GetEnhancer(stmt.value().query, state.key_column));
-    HYPRE_RETURN_NOT_OK(enhancer->RestoreSnapshotImage(state.image));
+        core::ProbeEngine * engine,
+        session->GetEngine(stmt.value().query, state.key_column));
+    HYPRE_RETURN_NOT_OK(engine->RestoreSnapshotImage(state.image));
   }
   // Consume the replayed write-ahead-log tail so every restored engine is
   // current with the recovered database before the first request.
@@ -463,12 +463,10 @@ Status Session::EnumerateInternal(const EnumerationRequest& request,
 #if HYPRE_TELEMETRY_ENABLED
   auto request_start = std::chrono::steady_clock::now();
 #endif
-  HYPRE_ASSIGN_OR_RETURN(
-      const CombinationEnumerator* enumerator,
-      EnumeratorRegistry::Global().Find(request.algorithm));
-  HYPRE_ASSIGN_OR_RETURN(
-      core::QueryEnhancer * enhancer,
-      GetEnhancer(request.base_query, request.key_column));
+  HYPRE_ASSIGN_OR_RETURN(const Algorithm* algorithm,
+                         FindAlgorithm(request.algorithm));
+  HYPRE_ASSIGN_OR_RETURN(core::ProbeEngine * engine,
+                         GetEngine(request.base_query, request.key_column));
 
   // Auto-checkpoint BEFORE the epoch is pinned: a checkpoint refreshes
   // every engine, and doing that under this request's own pin would only
@@ -482,7 +480,7 @@ Status Session::EnumerateInternal(const EnumerationRequest& request,
   // While the pin is held a concurrent Refresh cannot resize bitmaps out
   // from under the algorithm's handles.
   HYPRE_ASSIGN_OR_RETURN(core::ProbeEngine::EpochPin pin,
-                         enhancer->PinEpoch(request.refresh));
+                         engine->PinEpoch(request.refresh));
   result->epoch = pin.epoch();
 
   // Per-request statistics: a thread_local collector, installed for the
@@ -491,8 +489,7 @@ Status Session::EnumerateInternal(const EnumerationRequest& request,
   // out of scope. (Snapshot subtraction against the engine's lifetime
   // counters would double-count the moment two requests share an engine.)
   core::ProbeStats request_stats;
-  core::ScopedProbeStatsCollector stats_collector(&enhancer->probe_engine(),
-                                                  &request_stats);
+  core::ScopedProbeStatsCollector stats_collector(engine, &request_stats);
 
   // Every algorithm requires the list sorted descending by intensity; sort
   // a copy so callers can hand preferences in any order.
@@ -517,12 +514,12 @@ Status Session::EnumerateInternal(const EnumerationRequest& request,
     std::vector<reldb::ExprPtr> exprs;
     exprs.reserve(atoms.size());
     for (const core::PreferenceAtom& atom : atoms) exprs.push_back(atom.expr);
-    HYPRE_RETURN_NOT_OK(enhancer->probe_engine().PrefetchLeaves(exprs));
+    HYPRE_RETURN_NOT_OK(engine->PrefetchLeaves(exprs));
   }
 
   core::ProbeBudget budget(request.probe_budget);
   EnumerationContext ctx;
-  ctx.enhancer = enhancer;
+  ctx.engine = engine;
   ctx.preferences = &atoms;
   ctx.request = &request;
   ctx.probe_options = probe_options;
@@ -533,7 +530,7 @@ Status Session::EnumerateInternal(const EnumerationRequest& request,
 
   {
     telemetry::TraceSpan span("api", "run_algorithm");
-    HYPRE_RETURN_NOT_OK(enumerator->Run(ctx, result));
+    HYPRE_RETURN_NOT_OK(algorithm->run(ctx, result));
   }
   result->stats = request_stats;
   HYPRE_TELEMETRY_STMT(FoldRequestStats(

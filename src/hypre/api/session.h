@@ -2,22 +2,22 @@
 //
 // A Session owns (or borrows) one Database and serves any number of
 // EnumerationRequests against it. Per (base query, key column) it keeps ONE
-// QueryEnhancer — i.e. one ProbeEngine with its interned universe, leaf
-// cache, and delta subsystem — so consecutive requests share universe
-// interning and leaf prefetch instead of rebuilding them per call, and
-// every consumer goes through one versioned read path:
+// ProbeEngine with its interned universe, leaf cache, and delta subsystem,
+// so consecutive requests share universe interning and leaf prefetch
+// instead of rebuilding them per call, and every consumer goes through one
+// versioned read path:
 //
-//   request ──▶ EnumeratorRegistry (by name)
-//           ──▶ enhancer cache [(base SQL, key column) → QueryEnhancer]
+//   request ──▶ FindAlgorithm (by name, in the constant kAlgorithms table)
+//           ──▶ engine cache [(base SQL, key column) → ProbeEngine]
 //           ──▶ Refresh(): journal drained, epoch pinned for this request
 //           ──▶ bulk leaf prefetch over the request's preference leaves
-//           ──▶ enumerator Run (budget + sinks wired through)
+//           ──▶ algorithm run (budget + sinks wired through)
 //           ──▶ result {records/top_k, ProbeStats delta, epoch, truncated}
 //
 // Thread model: single writer, many readers — concurrent Enumerate()
 // calls from any number of threads are safe and see consistent snapshots.
 //
-//  * READ side. Enumerate()/GetEnhancer()/Refresh() may be called from any
+//  * READ side. Enumerate()/GetEngine()/Refresh() may be called from any
 //    thread at any time. Each request takes a refcounted EPOCH PIN on its
 //    engine (ProbeEngine::PinEpoch): while any pin is held the engine's
 //    interned state is immutable — a concurrent Refresh or auto-checkpoint
@@ -39,7 +39,7 @@
 // ARCHITECTURE.md):
 //   storage_mu_   — serializes the storage entry points and the
 //                   auto-checkpoint policy against each other
-//   enhancers_mu_ — shared_mutex over the enhancer cache: shared for
+//   engines_mu_   — shared_mutex over the engine cache: shared for
 //                   lookup/iteration, unique only for first-touch insert
 //   pool_mu_      — one-time creation of the shared TaskPool (published
 //                   through an atomic so readers never take it)
@@ -70,7 +70,7 @@
 #include "hypre/api/enumeration.h"
 #include "hypre/api/scheduler.h"
 #include "hypre/parallel/task_pool.h"
-#include "hypre/query_enhancement.h"
+#include "hypre/probe_engine.h"
 #include "hypre/storage/store.h"
 #include "reldb/database.h"
 
@@ -100,18 +100,18 @@ class Session {
   static Result<std::unique_ptr<Session>> OpenFromSnapshot(
       const std::string& dir, const storage::StorageOptions& options = {});
 
-  /// \brief Runs one enumeration request end to end: registry dispatch,
-  /// enhancer-cache lookup, epoch pinning, leaf prefetch, the algorithm
+  /// \brief Runs one enumeration request end to end: algorithm lookup,
+  /// engine-cache lookup, epoch pinning, leaf prefetch, the algorithm
   /// itself, and the per-request statistics delta. With no probe budget the
   /// records/tuples are byte-identical to calling the algorithm's direct
-  /// entry point on an equivalent enhancer.
+  /// entry point on an equivalent engine.
   Result<EnumerationResult> Enumerate(const EnumerationRequest& request);
 
-  /// \brief The cached enhancer for (base_query, key_column), created on
-  /// first use. Exposed for consumers outside the six enumerators (ranking,
+  /// \brief The cached engine for (base_query, key_column), created on
+  /// first use. Exposed for consumers outside the six algorithms (ranking,
   /// skyline, metrics) so they share the same engines the requests warm.
-  Result<core::QueryEnhancer*> GetEnhancer(const reldb::Query& base_query,
-                                           const std::string& key_column);
+  Result<core::ProbeEngine*> GetEngine(const reldb::Query& base_query,
+                                       const std::string& key_column);
 
   /// \brief Catches every cached engine up with the database's mutation
   /// journal. Returns the highest resulting epoch (0 when no engine is
@@ -121,9 +121,13 @@ class Session {
   /// (see ProbeEngine::Refresh).
   Result<uint64_t> Refresh();
 
-  /// \brief Registered algorithm names (sorted) — what `algorithm` accepts.
+  /// \brief Algorithm names (sorted) — what `algorithm` accepts.
   std::vector<std::string> Algorithms() const {
-    return EnumeratorRegistry::Global().Names();
+    std::vector<std::string> names;
+    for (const Algorithm& algorithm : kAlgorithms) {
+      names.emplace_back(algorithm.name);
+    }
+    return names;
   }
 
   const reldb::Database* db() const { return db_; }
@@ -131,8 +135,8 @@ class Session {
   reldb::Database* mutable_db() { return owned_db_.get(); }
   /// \brief Number of distinct (base query, key column) engines cached.
   size_t num_cached_engines() const {
-    std::shared_lock<std::shared_mutex> lock(enhancers_mu_);
-    return enhancers_.size();
+    std::shared_lock<std::shared_mutex> lock(engines_mu_);
+    return engines_.size();
   }
 
   /// \brief The session's work-stealing pool, created (auto-sized) on first
@@ -238,19 +242,19 @@ class Session {
   std::mutex pool_mu_;
   std::unique_ptr<parallel::TaskPool> pool_;
   std::atomic<parallel::TaskPool*> pool_ptr_{nullptr};
-  // (base query SQL + key column) -> the one enhancer/engine all requests
-  // over that query share. enhancers_mu_ guards the MAP (shared for
-  // lookup, unique for first-touch insert); entries are unique_ptrs, so
-  // QueryEnhancer pointers handed out under the shared lock stay valid
-  // unlocked for the session's lifetime (entries are never erased).
-  mutable std::shared_mutex enhancers_mu_;
-  std::unordered_map<std::string, std::unique_ptr<core::QueryEnhancer>>
-      enhancers_;
+  // (base query SQL + key column) -> the one engine all requests over that
+  // query share. engines_mu_ guards the MAP (shared for lookup, unique for
+  // first-touch insert); entries are unique_ptrs, so ProbeEngine pointers
+  // handed out under the shared lock stay valid unlocked for the session's
+  // lifetime (entries are never erased).
+  mutable std::shared_mutex engines_mu_;
+  std::unordered_map<std::string, std::unique_ptr<core::ProbeEngine>>
+      engines_;
   // Request admission (FIFO, concurrency + probe-budget caps).
   AdmissionScheduler scheduler_;
   // Serializes the storage entry points (AttachStorage, SaveSnapshot,
   // CommitJournal) and the per-request auto-checkpoint policy against each
-  // other. Ordered BEFORE enhancers_mu_ and the engines' refresh mutexes.
+  // other. Ordered BEFORE engines_mu_ and the engines' refresh mutexes.
   std::mutex storage_mu_;
   // Durable storage backend; null until AttachStorage/OpenFromSnapshot.
   // The pointer is written once under storage_mu_ before concurrent use.

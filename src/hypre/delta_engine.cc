@@ -113,7 +113,7 @@ Status DeltaEngine::ApplyAppends(
     parallel::TaskPool* pool = engine_->task_pool();
     if (pool != nullptr && leaf_bits.size() > 1) {
       pool->ParallelFor(
-          leaf_bits.size(), /*grain=*/1, engine_->task_pool_threads(),
+          leaf_bits.size(), /*grain=*/1, /*max_slots=*/0,
           [&leaf_bits, new_size](size_t begin, size_t end, size_t /*slot*/) {
             for (size_t i = begin; i < end; ++i) {
               leaf_bits[i]->Resize(new_size);
@@ -138,12 +138,10 @@ Status DeltaEngine::RecomputeKey(const Value& key, uint32_t id,
   reldb::ExprPtr key_eq =
       reldb::Eq(table.empty() ? reldb::Col(column) : reldb::Col(table, column),
                 reldb::Lit(key));
-  reldb::Query query = engine_->base_query_;
-  query.where = query.where ? reldb::MakeAnd(query.where, key_eq) : key_eq;
   bool alive = false;
   std::vector<char> holds(leaf_bits.size(), 0);
   HYPRE_RETURN_NOT_OK(engine_->executor_.ForEachKeyedMatch(
-      query, engine_->key_column_, leaf_exprs,
+      engine_->Enhance(key_eq), engine_->key_column_, leaf_exprs,
       [&](const Value&) { alive = true; },
       [&](size_t p, const Value&) { holds[p] = 1; }));
   if (!alive) {

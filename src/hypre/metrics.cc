@@ -20,9 +20,8 @@ double Utility(size_t num_tuples, size_t num_preferences, double intensity,
   return PrefSelectivity(effective, num_preferences) * intensity;
 }
 
-Result<size_t> Coverage(const QueryEnhancer& enhancer,
+Result<size_t> Coverage(const ProbeEngine& engine,
                         const std::vector<reldb::ExprPtr>& predicates) {
-  const ProbeEngine& engine = enhancer.probe_engine();
   HYPRE_ASSIGN_OR_RETURN(size_t universe, engine.UniverseSize());
   KeyBitmap covered(universe);
   for (const auto& predicate : predicates) {

@@ -24,7 +24,7 @@
 
 #include "common/status.h"
 #include "hypre/preference.h"
-#include "hypre/query_enhancement.h"
+#include "hypre/probe_engine.h"
 #include "hypre/ranking.h"
 #include "reldb/value.h"
 
@@ -41,8 +41,8 @@ double Utility(size_t num_tuples, size_t num_preferences, double intensity,
                size_t page_cap = 25);
 
 /// \brief Definition 18: the union of tuples matched by each predicate run
-/// independently against the enhancer's base query.
-Result<size_t> Coverage(const QueryEnhancer& enhancer,
+/// independently against the engine's base query.
+Result<size_t> Coverage(const ProbeEngine& engine,
                         const std::vector<reldb::ExprPtr>& predicates);
 
 /// \brief Definition 21: |A ∩ B| / max(|A|, |B|), as a percentage in

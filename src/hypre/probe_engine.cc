@@ -38,6 +38,16 @@ ProbeEngine::ProbeEngine(const reldb::Database* db, reldb::Query base_query,
 
 ProbeEngine::~ProbeEngine() = default;
 
+reldb::Query ProbeEngine::Enhance(const reldb::ExprPtr& predicate) const {
+  reldb::Query query = base_query_;
+  if (query.where && predicate) {
+    query.where = reldb::MakeAnd(query.where, predicate);
+  } else if (predicate) {
+    query.where = predicate;
+  }
+  return query;
+}
+
 Result<uint64_t> ProbeEngine::ApplyRefreshLocked() {
   // Serialize against in-flight cache lookups: the delta pass rewrites the
   // leaf cache, count cache, and key order in place.
@@ -399,14 +409,12 @@ Result<const KeyBitmap*> ProbeEngine::LeafBitmap(
   // bounded trace buffer from the probe hot path.
   telemetry::TraceSpan span("engine", "leaf_query");
   NoteLeafQueries(1);
-  reldb::Query query = base_query_;
-  query.where = query.where ? reldb::MakeAnd(query.where, expr) : expr;
   // First-touch: with a pool attached the fresh bitmap's pages are zeroed
   // by the workers that will probe them.
-  auto bits = std::make_unique<KeyBitmap>(dict_.size(), task_pool(),
-                                          task_pool_threads());
-  HYPRE_RETURN_NOT_OK(executor_.ForEachDenseId(
-      query, key_column_, dict_, [&](uint32_t id) { bits->Set(id); }));
+  auto bits = std::make_unique<KeyBitmap>(dict_.size(), task_pool());
+  HYPRE_RETURN_NOT_OK(
+      executor_.ForEachDenseId(Enhance(expr), key_column_, dict_,
+                               [&](uint32_t id) { bits->Set(id); }));
   const KeyBitmap* ptr = bits.get();
   leaf_cache_.emplace(std::move(key), LeafEntry{expr, std::move(bits)});
   return ptr;
@@ -450,8 +458,7 @@ Status ProbeEngine::PrefetchLeaves(
   std::vector<std::unique_ptr<KeyBitmap>> bitmaps;
   bitmaps.reserve(pending.size());
   for (size_t i = 0; i < pending.size(); ++i) {
-    bitmaps.push_back(std::make_unique<KeyBitmap>(dict_.size(), task_pool(),
-                                                  task_pool_threads()));
+    bitmaps.push_back(std::make_unique<KeyBitmap>(dict_.size(), task_pool()));
   }
   HYPRE_RETURN_NOT_OK(executor_.ForEachDenseIdMulti(
       base_query_, key_column_, dict_, pending,

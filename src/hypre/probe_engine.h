@@ -1,4 +1,24 @@
-// Bitmap-backed probe engine for group-level predicate evaluation.
+// Bitmap-backed probe engine: preference-aware query enhancement
+// (dissertation §4.6) with group-level predicate evaluation.
+//
+// The enhanced query is the base SELECT with a (combined) preference
+// predicate spliced into its WHERE clause (ProbeEngine::Enhance); the
+// engine counts or collects the keys that match it.
+//
+// Matching semantics — group-level (existential). The dissertation's
+// enhanced queries run over `dblp JOIN dblp_author` and freely AND two
+// author predicates (`dblp_author.aid=2222 AND dblp_author.aid=4787`,
+// §5.3.1) expecting papers co-authored by both. On a per-joined-row basis
+// that predicate is unsatisfiable (each joined row carries ONE aid), so the
+// intended meaning is per *key* (per paper): a key matches a leaf predicate
+// if at least one of its joined rows does, and AND/OR/NOT combine those key
+// sets:
+//   leaf      -> distinct keys of the base query filtered by the leaf
+//   AND       -> set intersection
+//   OR        -> set union
+//   NOT       -> complement against the base query's key universe
+// For single-table leaf predicates this coincides with row-level SQL
+// semantics, because the key determines the row of each base table.
 //
 // The combination algorithms (PEPS, TA, exhaustive, combine-two,
 // partially-combine-all, bias-random) issue thousands of count/key probes
@@ -11,9 +31,8 @@
 //  2. Leaf bitmaps. Each leaf predicate runs against the database exactly
 //     once (base query AND leaf, streaming dense ids straight into a
 //     bitmap); the bitmap is cached under a canonical predicate key.
-//  3. Set algebra. Group-level AND/OR/NOT (dissertation §4.6 semantics, see
-//     query_enhancement.h) reduce to word-wise AND/OR/ANDNOT, and
-//     CountMatching to popcount.
+//  3. Set algebra. Group-level AND/OR/NOT (the semantics above) reduce to
+//     word-wise AND/OR/ANDNOT, and CountMatching to popcount.
 //
 // Cache keys are canonical, not rendered SQL: commutative AND/OR children
 // are sorted, mirrored comparisons (literal op column) are flipped, and IN
@@ -171,6 +190,12 @@ class ProbeEngine {
   /// comparisons.
   static std::string CanonicalKey(const reldb::Expr& expr);
 
+  /// \brief The base query with `predicate` ANDed into its WHERE clause —
+  /// the literal SQL rewriting of §4.6 (null = the base query unchanged).
+  /// Leaf materialization and the delta engine's key recompute run exactly
+  /// this query.
+  reldb::Query Enhance(const reldb::ExprPtr& predicate) const;
+
   /// \brief Number of distinct keys matching `predicate` (null = the whole
   /// universe) under group-level semantics. Memoized.
   Result<size_t> CountMatching(const reldb::ExprPtr& predicate) const;
@@ -317,11 +342,6 @@ class ProbeEngine {
   /// cached bitmap handles against this.
   uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
 
-  /// \brief Epoch pins currently held by in-flight enumerations.
-  size_t num_epoch_pins() const {
-    std::lock_guard<std::mutex> lock(refresh_mu_);
-    return pin_count_;
-  }
   /// \brief True when a Refresh() was requested while readers were pinned
   /// and its journal suffix has not been applied yet. Checkpoints skip
   /// their round when this is set (the engine cursor lags the journal).
@@ -366,22 +386,16 @@ class ProbeEngine {
   /// leaf and prefetch bitmaps are then zeroed in parallel on the pool
   /// (first-touch NUMA placement — each page lands on the node of the
   /// worker that later probes it), and the delta layer's tail-growth resize
-  /// fans the per-leaf work out. `max_threads` caps the slots used (0 =
-  /// all). The pool is not owned and must outlive the engine's probe calls;
-  /// null detaches. Const because attachment is a performance hint, not
-  /// observable state (api::Session attaches through its const engine ref).
-  /// The fields are atomic so a session may attach its lazily created pool
-  /// while other requests are probing; per-REQUEST thread caps belong in
-  /// ProbeOptions, not here (attachment is engine-lifetime, set once).
-  void set_task_pool(parallel::TaskPool* pool, size_t max_threads = 0) const {
+  /// fans the per-leaf work out. The pool is not owned and must outlive the
+  /// engine's probe calls; null detaches. The field is atomic so a session
+  /// may attach its lazily created pool while other requests are probing;
+  /// per-REQUEST thread caps belong in ProbeOptions, not here (attachment
+  /// is engine-lifetime, set once).
+  void set_task_pool(parallel::TaskPool* pool) {
     pool_.store(pool, std::memory_order_release);
-    pool_threads_.store(max_threads, std::memory_order_relaxed);
   }
   parallel::TaskPool* task_pool() const {
     return pool_.load(std::memory_order_acquire);
-  }
-  size_t task_pool_threads() const {
-    return pool_threads_.load(std::memory_order_relaxed);
   }
 
   // Probe statistics contract:
@@ -402,15 +416,6 @@ class ProbeEngine {
   //    NoteProbesAnswered (bias-random's chain extensions do) — the
   //    per-call accounting is the contract.
 
-  /// \brief Number of leaf-predicate probes executed against the database
-  /// (the one-time universe interning scan is not counted).
-  size_t num_leaf_queries() const {
-    return num_leaf_queries_.load(std::memory_order_relaxed);
-  }
-  /// \brief Number of count probes answered from the memo cache.
-  size_t num_cache_hits() const {
-    return num_cache_hits_.load(std::memory_order_relaxed);
-  }
   /// \brief One consolidated snapshot of every probe counter (leaf queries,
   /// cache hits, batch layer activity) over the engine's LIFETIME. The API
   /// layer reports per-request statistics through a
@@ -548,8 +553,7 @@ class ProbeEngine {
   mutable std::atomic<size_t> num_batched_probes_{0};
   mutable std::atomic<size_t> num_shard_passes_{0};
   // First-touch allocation pool (see set_task_pool); null = inline zeroing.
-  mutable std::atomic<parallel::TaskPool*> pool_{nullptr};
-  mutable std::atomic<size_t> pool_threads_{0};
+  std::atomic<parallel::TaskPool*> pool_{nullptr};
   std::unique_ptr<DeltaEngine> delta_;
 };
 

@@ -5,7 +5,7 @@
 
 #include "common/status.h"
 #include "hypre/preference.h"
-#include "hypre/query_enhancement.h"
+#include "hypre/probe_engine.h"
 #include "reldb/value.h"
 
 namespace hypre {
@@ -30,7 +30,7 @@ struct RankedTuple {
 /// against; it runs one probe per preference plus one evaluation per
 /// (tuple, preference) pair.
 Result<std::vector<RankedTuple>> ScoreTuplesByPreferences(
-    const QueryEnhancer& enhancer,
+    const ProbeEngine& engine,
     const std::vector<PreferenceAtom>& preferences);
 
 /// \brief Sorts ranked tuples descending by intensity, ties by key.

@@ -90,10 +90,6 @@ Result<DecodedEnumerate> DecodeEnumerateRequest(const std::string& body) {
   uint64_t k = 0;
   HYPRE_RETURN_NOT_OK(ReadOptionalUint(root, "k", &k));
   request.k = static_cast<size_t>(k);
-  uint64_t max_exhaustive_n = request.max_exhaustive_n;
-  HYPRE_RETURN_NOT_OK(
-      ReadOptionalUint(root, "max_exhaustive_n", &max_exhaustive_n));
-  request.max_exhaustive_n = static_cast<size_t>(max_exhaustive_n);
   uint64_t probe_budget = 0;
   HYPRE_RETURN_NOT_OK(ReadOptionalUint(root, "probe_budget", &probe_budget));
   request.probe_budget = static_cast<size_t>(probe_budget);

@@ -14,8 +14,8 @@
 //   enumerate request  {"algorithm", "base_query" (SQL), "key_column",
 //                       "preferences": [{"predicate", "intensity"}, ...],
 //                       "k"?, "semantics"?, "mode"?, "seed"?,
-//                       "max_exhaustive_n"?, "probe_budget"?, "refresh"?,
-//                       "deadline_ms"?, "debug_sleep_ms"?}
+//                       "probe_budget"?, "refresh"?, "deadline_ms"?,
+//                       "debug_sleep_ms"?}
 //   enumerate response {"algorithm", "epoch", "truncated",
 //                       "records": [...], "top_k": [...], "stats": {...},
 //                       "valid_checks"?, "invalid_checks"?}

@@ -46,7 +46,7 @@ namespace storage {
 /// \brief One engine's durable identity + interned state.
 struct SnapshotEngineState {
   /// The base query rendered by Query::ToSql() — round-trips through
-  /// sqlparse::ParseSelect and doubles as the session's enhancer cache key.
+  /// sqlparse::ParseSelect and doubles as the session's engine cache key.
   std::string base_sql;
   std::string key_column;
   core::EngineSnapshotImage image;

@@ -133,8 +133,8 @@ TEST_F(AlgorithmsTest, CombineTwoOrderingObservation) {
 TEST_F(AlgorithmsTest, CombineTwoDirectShimMatchesSession) {
   // The free-function entry point is kept as a compatibility shim; its
   // output must stay identical to registry dispatch.
-  QueryEnhancer enhancer(&db_, MiniBaseQuery(), "dblp.pid");
-  auto direct = CombineTwo(prefs_, enhancer, CombineSemantics::kAnd);
+  ProbeEngine engine(&db_, MiniBaseQuery(), "dblp.pid");
+  auto direct = CombineTwo(prefs_, engine, CombineSemantics::kAnd);
   ASSERT_TRUE(direct.ok()) << direct.status().ToString();
   auto via_session = Records("combine-two");
   ASSERT_EQ(direct->size(), via_session.size());

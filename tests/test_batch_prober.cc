@@ -118,7 +118,7 @@ class RandomWorkload {
     reldb::Query base;
     base.from = "p";
     base.joins.push_back({"tag", "p.pid", "pid"});
-    enhancer_ = std::make_unique<QueryEnhancer>(&db_, base, "p.pid");
+    engine_ = std::make_unique<ProbeEngine>(&db_, base, "p.pid");
 
     auto add = [&](const std::string& pred, double intensity) {
       auto atom = MakeAtom(pred, intensity);
@@ -147,7 +147,7 @@ class RandomWorkload {
   }
 
   reldb::Database db_;
-  std::unique_ptr<QueryEnhancer> enhancer_;
+  std::unique_ptr<ProbeEngine> engine_;
   std::vector<PreferenceAtom> prefs_;
   Rng rng_;
 };
@@ -155,7 +155,7 @@ class RandomWorkload {
 TEST(BatchProber, CountAndEvalMatchScalarAcrossShardWidthsAndThreads) {
   RandomWorkload w(1234);
   Combiner combiner(&w.prefs_);
-  CombinationProber scalar(&combiner, &w.enhancer_->probe_engine());
+  CombinationProber scalar(&combiner, w.engine_.get());
 
   // Frontier with mixed shapes, duplicates, and the empty combination.
   std::vector<Combination> frontier;
@@ -199,7 +199,7 @@ TEST(BatchProber, CountAndEvalMatchScalarAcrossShardWidthsAndThreads) {
 TEST(BatchProber, CountExtensionsAndPairsMatchScalarAndCount) {
   RandomWorkload w(99);
   Combiner combiner(&w.prefs_);
-  CombinationProber scalar(&combiner, &w.enhancer_->probe_engine());
+  CombinationProber scalar(&combiner, w.engine_.get());
   size_t n = w.prefs_.size();
 
   KeyBitmap base;
@@ -246,7 +246,7 @@ TEST(BatchProber, SkewedFrontierByteIdenticalUnderWorkStealing) {
   // bitmaps must stay byte-identical to the scalar path.
   RandomWorkload w(31337);
   Combiner combiner(&w.prefs_);
-  CombinationProber scalar(&combiner, &w.enhancer_->probe_engine());
+  CombinationProber scalar(&combiner, w.engine_.get());
   size_t n = w.prefs_.size();
 
   std::vector<Combination> frontier;
@@ -298,7 +298,7 @@ TEST(BatchProber, MoreThreadsThanShardsStaysExact) {
   // whatever the thread/shard ratio.
   RandomWorkload w(2024);
   Combiner combiner(&w.prefs_);
-  CombinationProber scalar(&combiner, &w.enhancer_->probe_engine());
+  CombinationProber scalar(&combiner, w.engine_.get());
 
   std::vector<Combination> frontier;
   for (int i = 0; i < 10; ++i) frontier.push_back(w.RandomCombination(combiner));
@@ -330,7 +330,7 @@ TEST(BatchProber, PureAndChainShortcutMatchesMaterializedPath) {
   // with the materializing BitsInto+Count evaluation.
   RandomWorkload w(7);
   Combiner combiner(&w.prefs_);
-  CombinationProber prober(&combiner, &w.enhancer_->probe_engine());
+  CombinationProber prober(&combiner, w.engine_.get());
   Combination chain;
   for (size_t len = 1; len <= w.prefs_.size(); ++len) {
     chain = len == 1 ? combiner.Single(0) : combiner.AndExtend(chain, len - 1);
@@ -350,17 +350,17 @@ TEST(BatchProber, PrefetchedLeavesMatchOnDemandLeaves) {
   // by leaf. Every preference bitmap must come out identical.
   reldb::Database db;
   BuildMiniDblp(&db);
-  QueryEnhancer prefetched(&db, MiniBaseQuery(), "dblp.pid");
-  QueryEnhancer on_demand(&db, MiniBaseQuery(), "dblp.pid");
+  ProbeEngine prefetched(&db, MiniBaseQuery(), "dblp.pid");
+  ProbeEngine on_demand(&db, MiniBaseQuery(), "dblp.pid");
   std::vector<PreferenceAtom> prefs = MiniPreferences();
 
   std::vector<reldb::ExprPtr> exprs;
   for (const auto& pref : prefs) exprs.push_back(pref.expr);
-  ASSERT_TRUE(prefetched.probe_engine().PrefetchLeaves(exprs).ok());
+  ASSERT_TRUE(prefetched.PrefetchLeaves(exprs).ok());
 
   for (const auto& pref : prefs) {
-    auto a = prefetched.probe_engine().EvalBitmap(pref.expr);
-    auto b = on_demand.probe_engine().EvalBitmap(pref.expr);
+    auto a = prefetched.EvalBitmap(pref.expr);
+    auto b = on_demand.EvalBitmap(pref.expr);
     ASSERT_TRUE(a.ok() && b.ok());
     EXPECT_EQ(*a, *b) << pref.predicate;
   }
@@ -371,8 +371,7 @@ TEST(BatchProber, ProbeStatisticsContract) {
   // distinct leaf (prefetched or not), one cache hit per answered probe.
   reldb::Database db;
   BuildMiniDblp(&db);
-  QueryEnhancer enhancer(&db, MiniBaseQuery(), "dblp.pid");
-  const ProbeEngine& engine = enhancer.probe_engine();
+  ProbeEngine engine(&db, MiniBaseQuery(), "dblp.pid");
   std::vector<PreferenceAtom> prefs = MiniPreferences();
   Combiner combiner(&prefs);
   CombinationProber prober(&combiner, &engine);
@@ -381,37 +380,37 @@ TEST(BatchProber, ProbeStatisticsContract) {
   // Bulk prefetch: 5 preferences = 5 distinct leaves, ONE executor pass but
   // one counted leaf query per leaf; no probes answered yet.
   ASSERT_TRUE(prober.PrefetchAll().ok());
-  EXPECT_EQ(engine.num_leaf_queries(), 5u);
-  EXPECT_EQ(engine.num_cache_hits(), 0u);
+  EXPECT_EQ(engine.stats().num_leaf_queries, 5u);
+  EXPECT_EQ(engine.stats().num_cache_hits, 0u);
   // Idempotent: nothing new to load.
   ASSERT_TRUE(prober.PrefetchAll().ok());
-  EXPECT_EQ(engine.num_leaf_queries(), 5u);
+  EXPECT_EQ(engine.stats().num_leaf_queries, 5u);
 
   // A scalar combination probe answers one probe from cache.
   ASSERT_TRUE(prober.Count(combiner.MixedClause({0, 1})).ok());
-  EXPECT_EQ(engine.num_cache_hits(), 1u);
-  EXPECT_EQ(engine.num_leaf_queries(), 5u);  // no new DB work
+  EXPECT_EQ(engine.stats().num_cache_hits, 1u);
+  EXPECT_EQ(engine.stats().num_leaf_queries, 5u);  // no new DB work
 
   // A batch of M combinations answers M probes.
   std::vector<Combination> frontier = {combiner.MixedClause({0, 1}),
                                        combiner.MixedClause({1, 2, 3}),
                                        combiner.MixedClause({0, 4})};
   ASSERT_TRUE(batch.CountBatch(frontier).ok());
-  EXPECT_EQ(engine.num_cache_hits(), 4u);
+  EXPECT_EQ(engine.stats().num_cache_hits, 4u);
 
   // An extension batch answers one probe per candidate.
   KeyBitmap base;
   ASSERT_TRUE(prober.BitsInto(combiner.Single(0), &base).ok());
   ASSERT_TRUE(batch.CountExtensions(base, {1, 2}).ok());
-  EXPECT_EQ(engine.num_cache_hits(), 6u);
+  EXPECT_EQ(engine.stats().num_cache_hits, 6u);
 
   // The CountMatching memo hit still counts (PR 1 behavior preserved).
   auto pred = prefs[0].expr;
   ASSERT_TRUE(engine.CountMatching(pred).ok());
-  size_t hits_before = engine.num_cache_hits();
+  size_t hits_before = engine.stats().num_cache_hits;
   ASSERT_TRUE(engine.CountMatching(pred).ok());
-  EXPECT_EQ(engine.num_cache_hits(), hits_before + 1);
-  EXPECT_EQ(engine.num_leaf_queries(), 5u);
+  EXPECT_EQ(engine.stats().num_cache_hits, hits_before + 1);
+  EXPECT_EQ(engine.stats().num_leaf_queries, 5u);
 }
 
 // --- Pinned algorithm outputs ----------------------------------------------
@@ -419,7 +418,7 @@ TEST(BatchProber, ProbeStatisticsContract) {
 // The expected strings were recorded from the scalar and batched probe paths
 // (which agreed byte for byte) before the scalar path was removed; every
 // record's count is also re-checked against the scalar CombinationProber on
-// an independent enhancer. Each output must come out identical under every
+// an independent engine. Each output must come out identical under every
 // configuration in AlgorithmConfigs().
 
 std::vector<ProbeOptions> AlgorithmConfigs() {
@@ -433,7 +432,7 @@ std::vector<ProbeOptions> AlgorithmConfigs() {
 TEST(PinnedAlgorithmOutputs, PepsOrderAndTopK) {
   RandomWorkload w(42);
   SortByIntensityDesc(&w.prefs_);
-  QueryEnhancer oracle(&w.db_, w.enhancer_->base_query(), "p.pid");
+  ProbeEngine oracle(&w.db_, w.engine_->base_query(), "p.pid");
   struct Pin {
     PepsMode mode;
     const char* order;
@@ -452,7 +451,7 @@ TEST(PinnedAlgorithmOutputs, PepsOrderAndTopK) {
     SCOPED_TRACE(DescribeOptions(options));
     for (const Pin& pin : pins) {
       SCOPED_TRACE(pin.mode == PepsMode::kComplete ? "complete" : "approx");
-      Peps peps(&w.prefs_, w.enhancer_.get(), options);
+      Peps peps(&w.prefs_, w.engine_.get(), options);
       auto order = peps.GenerateOrder(pin.mode);
       ASSERT_TRUE(order.ok()) << order.status().ToString();
       ExpectCountsMatchOracle(*order, w.prefs_, oracle);
@@ -469,17 +468,17 @@ TEST(PinnedAlgorithmOutputs, PepsOrderAndTopK) {
 
 TEST(PinnedAlgorithmOutputs, ExhaustiveCombineTwoPartially) {
   RandomWorkload w(77);
-  QueryEnhancer oracle(&w.db_, w.enhancer_->base_query(), "p.pid");
+  ProbeEngine oracle(&w.db_, w.engine_->base_query(), "p.pid");
   for (const ProbeOptions& options : AlgorithmConfigs()) {
     SCOPED_TRACE(DescribeOptions(options));
     auto exhaustive =
-        ExhaustiveAndCombinations(w.prefs_, *w.enhancer_, 20, options);
+        ExhaustiveAndCombinations(w.prefs_, *w.engine_, options);
     ASSERT_TRUE(exhaustive.ok()) << exhaustive.status().ToString();
     ExpectCountsMatchOracle(*exhaustive, w.prefs_, oracle);
     EXPECT_EQ(Fingerprint(*exhaustive), "72 records fnv1a=d959a892cc080ad9");
 
     auto and_pairs =
-        CombineTwo(w.prefs_, *w.enhancer_, CombineSemantics::kAnd, options);
+        CombineTwo(w.prefs_, *w.engine_, CombineSemantics::kAnd, options);
     ASSERT_TRUE(and_pairs.ok()) << and_pairs.status().ToString();
     ExpectCountsMatchOracle(*and_pairs, w.prefs_, oracle);
     EXPECT_EQ(RenderRecords(*and_pairs),
@@ -489,7 +488,7 @@ TEST(PinnedAlgorithmOutputs, ExhaustiveCombineTwoPartially) {
               "6&7:20");
 
     auto and_or_pairs =
-        CombineTwo(w.prefs_, *w.enhancer_, CombineSemantics::kAndOr, options);
+        CombineTwo(w.prefs_, *w.engine_, CombineSemantics::kAndOr, options);
     ASSERT_TRUE(and_or_pairs.ok()) << and_or_pairs.status().ToString();
     ExpectCountsMatchOracle(*and_or_pairs, w.prefs_, oracle);
     EXPECT_EQ(RenderRecords(*and_or_pairs),
@@ -498,7 +497,7 @@ TEST(PinnedAlgorithmOutputs, ExhaustiveCombineTwoPartially) {
               "2&6:16 2|7:128 3|4:114 3|5:125 3&6:16 3|7:126 4|5:114 4&6:15 "
               "4|7:115 5&6:8 5|7:131 6&7:20");
 
-    auto partial = PartiallyCombineAll(w.prefs_, *w.enhancer_, options);
+    auto partial = PartiallyCombineAll(w.prefs_, *w.engine_, options);
     ASSERT_TRUE(partial.ok()) << partial.status().ToString();
     ExpectCountsMatchOracle(*partial, w.prefs_, oracle);
     EXPECT_EQ(Fingerprint(*partial), "17 records fnv1a=6ae3a46fd85fb7dd");
@@ -507,7 +506,7 @@ TEST(PinnedAlgorithmOutputs, ExhaustiveCombineTwoPartially) {
 
 TEST(PinnedAlgorithmOutputs, BiasRandom) {
   RandomWorkload w(5);
-  QueryEnhancer oracle(&w.db_, w.enhancer_->base_query(), "p.pid");
+  ProbeEngine oracle(&w.db_, w.engine_->base_query(), "p.pid");
   struct Pin {
     uint64_t seed;
     const char* records;
@@ -526,7 +525,7 @@ TEST(PinnedAlgorithmOutputs, BiasRandom) {
     SCOPED_TRACE(DescribeOptions(options));
     for (const Pin& pin : pins) {
       SCOPED_TRACE(testing::Message() << "seed=" << pin.seed);
-      auto run = BiasRandomSelection(w.prefs_, *w.enhancer_, pin.seed, options);
+      auto run = BiasRandomSelection(w.prefs_, *w.engine_, pin.seed, options);
       ASSERT_TRUE(run.ok()) << run.status().ToString();
       ExpectCountsMatchOracle(run->records, w.prefs_, oracle);
       EXPECT_EQ(RenderRecords(run->records), pin.records);

@@ -4,7 +4,7 @@
 
 #include "hypre/combination.h"
 #include "hypre/intensity.h"
-#include "hypre/query_enhancement.h"
+#include "hypre/probe_engine.h"
 #include "hypre/ranking.h"
 #include "workload/canonical.h"
 
@@ -122,10 +122,10 @@ TEST(Example6, DealershipRanking) {
   ASSERT_TRUE(workload::BuildDealershipDatabase(&db).ok());
   reldb::Query base;
   base.from = "car";
-  QueryEnhancer enhancer(&db, base, "car.id");
+  ProbeEngine engine(&db, base, "car.id");
 
   std::vector<PreferenceAtom> prefs = DealershipPreferences();
-  auto ranked = ScoreTuplesByPreferences(enhancer, prefs);
+  auto ranked = ScoreTuplesByPreferences(engine, prefs);
   ASSERT_TRUE(ranked.ok()) << ranked.status().ToString();
   ASSERT_EQ(ranked->size(), 3u);
   EXPECT_EQ((*ranked)[0].key.AsString(), "t1");

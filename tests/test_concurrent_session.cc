@@ -273,9 +273,9 @@ TEST(ConcurrentSession, FirstTouchBuildsExactlyOneEngineAndPool) {
   EXPECT_EQ(session.num_cached_engines(), 1u);
   EXPECT_TRUE(session.has_task_pool());
   // The find-or-create race resolved to ONE pool: engine and session agree.
-  auto enhancer = session.GetEnhancer(MiniBaseQuery(), "dblp.pid");
-  ASSERT_TRUE(enhancer.ok());
-  EXPECT_EQ((*enhancer)->probe_engine().task_pool(), session.task_pool());
+  auto engine = session.GetEngine(MiniBaseQuery(), "dblp.pid");
+  ASSERT_TRUE(engine.ok());
+  EXPECT_EQ((*engine)->task_pool(), session.task_pool());
 }
 
 // --- Epoch pinning: mutate + Refresh while an enumeration is in flight ----
@@ -294,9 +294,9 @@ TEST(ConcurrentSession, RefreshDefersWhileReaderPinned) {
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     baseline = Digest(*result);
   }
-  auto enhancer = session.GetEnhancer(MiniBaseQuery(), "dblp.pid");
-  ASSERT_TRUE(enhancer.ok());
-  const core::ProbeEngine& engine = (*enhancer)->probe_engine();
+  auto cached = session.GetEngine(MiniBaseQuery(), "dblp.pid");
+  ASSERT_TRUE(cached.ok());
+  const core::ProbeEngine& engine = **cached;
   const uint64_t epoch_before = engine.epoch();
 
   // A record sink that parks the enumeration mid-run (on the request
@@ -384,9 +384,9 @@ TEST(ConcurrentSession, PureReadersSkipRefreshAndPinLiveEpoch) {
   auto warm = session.Enumerate(request);
   ASSERT_TRUE(warm.ok());
 
-  auto enhancer = session.GetEnhancer(MiniBaseQuery(), "dblp.pid");
-  ASSERT_TRUE(enhancer.ok());
-  const uint64_t epoch = (*enhancer)->probe_engine().epoch();
+  auto engine = session.GetEngine(MiniBaseQuery(), "dblp.pid");
+  ASSERT_TRUE(engine.ok());
+  const uint64_t epoch = (*engine)->epoch();
 
   // Mutate, but enumerate with refresh=false: a pure reader must not drain
   // the journal — same epoch, pre-mutation results.

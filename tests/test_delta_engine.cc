@@ -574,15 +574,15 @@ TEST(DeltaEngine, RandomizedMutationDifferential) {
 
 TEST(DeltaEngine, PepsTopKAfterRefreshMatchesFreshEngine) {
   MutatingWorkload w(7);
-  QueryEnhancer enhancer(&w.db_, w.base_, "p.pid");
-  Peps warm(&w.prefs_, &enhancer);
+  ProbeEngine warm_engine(&w.db_, w.base_, "p.pid");
+  Peps warm(&w.prefs_, &warm_engine);
   auto before = warm.TopK(10, PepsMode::kComplete);
   ASSERT_TRUE(before.ok()) << before.status().ToString();
 
   for (int round = 0; round < 3; ++round) w.Mutate();
-  ASSERT_TRUE(enhancer.Refresh().ok());
+  ASSERT_TRUE(warm_engine.Refresh().ok());
 
-  QueryEnhancer fresh_enhancer(&w.db_, w.base_, "p.pid");
+  ProbeEngine fresh_engine(&w.db_, w.base_, "p.pid");
   ProbeOptions scalar_kernels;
   scalar_kernels.simd = false;
   ProbeOptions threaded;
@@ -591,8 +591,8 @@ TEST(DeltaEngine, PepsTopKAfterRefreshMatchesFreshEngine) {
        {ProbeOptions{}, scalar_kernels, threaded}) {
     SCOPED_TRACE(testing::Message() << "simd=" << options.simd
                                     << " threads=" << options.num_threads);
-    Peps refreshed(&w.prefs_, &enhancer, options);
-    Peps fresh(&w.prefs_, &fresh_enhancer, options);
+    Peps refreshed(&w.prefs_, &warm_engine, options);
+    Peps fresh(&w.prefs_, &fresh_engine, options);
     auto got = refreshed.TopK(10, PepsMode::kComplete);
     auto want = fresh.TopK(10, PepsMode::kComplete);
     ASSERT_TRUE(got.ok()) << got.status().ToString();

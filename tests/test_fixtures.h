@@ -25,7 +25,7 @@
 #include "hypre/algorithms/common.h"
 #include "hypre/combination.h"
 #include "hypre/preference.h"
-#include "hypre/query_enhancement.h"
+#include "hypre/probe_engine.h"
 #include "reldb/database.h"
 
 namespace hypre {
@@ -146,14 +146,14 @@ inline std::string Fingerprint(const std::vector<CombinationRecord>& records) {
 
 /// The scalar-oracle check every enumerator output must pass: each emitted
 /// record's num_tuples equals CombinationProber::Count of its combination,
-/// probed one at a time over `enhancer` (which the caller does not share
+/// probed one at a time over `engine` (which the caller does not share
 /// with the run under test).
 inline void ExpectCountsMatchOracle(
     const std::vector<CombinationRecord>& records,
     const std::vector<PreferenceAtom>& preferences,
-    const QueryEnhancer& enhancer) {
+    const ProbeEngine& engine) {
   Combiner combiner(&preferences);
-  CombinationProber oracle(&combiner, &enhancer.probe_engine());
+  CombinationProber oracle(&combiner, &engine);
   for (size_t i = 0; i < records.size(); ++i) {
     auto count = oracle.Count(records[i].combination);
     ASSERT_TRUE(count.ok()) << count.status().ToString();

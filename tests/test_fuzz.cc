@@ -2,14 +2,14 @@
 //  1. random predicate ASTs: executor (push-down + index candidates) vs.
 //     brute-force row evaluation;
 //  2. parse -> print -> parse fixpoint on randomly generated predicates;
-//  3. QueryEnhancer's group-level set algebra vs. naive per-key evaluation.
+//  3. ProbeEngine's group-level set algebra vs. naive per-key evaluation.
 #include <gtest/gtest.h>
 
 #include <unordered_set>
 
 #include "common/random.h"
 #include "common/string_util.h"
-#include "hypre/query_enhancement.h"
+#include "hypre/probe_engine.h"
 #include "reldb/executor.h"
 #include "sqlparse/parser.h"
 
@@ -191,7 +191,7 @@ TEST_P(FuzzSweep, GroupSemanticsMatchNaivePerKeyEvaluation) {
   Query base;
   base.from = "p";
   base.joins.push_back({"tag", "p.pid", "pid"});
-  core::QueryEnhancer enhancer(&db, base, "p.pid");
+  core::ProbeEngine engine(&db, base, "p.pid");
 
   // Random boolean combinations of leaf predicates venue=X / t=N.
   std::function<ExprPtr(int)> random_pred = [&](int depth) -> ExprPtr {
@@ -245,7 +245,7 @@ TEST_P(FuzzSweep, GroupSemanticsMatchNaivePerKeyEvaluation) {
 
   for (int trial = 0; trial < 30; ++trial) {
     ExprPtr predicate = random_pred(3);
-    auto keys = enhancer.MatchingKeys(predicate);
+    auto keys = engine.MatchingKeys(predicate);
     ASSERT_TRUE(keys.ok()) << predicate->ToString();
     std::set<int64_t> actual;
     for (const auto& key : *keys) actual.insert(key.AsInt());

@@ -340,6 +340,37 @@ TEST_F(HttpServerTest, DeeplyNestedPredicateIs400AndServerSurvives) {
   EXPECT_EQ(health->status, 200);
 }
 
+TEST_F(HttpServerTest, OversizedExhaustiveRequestIs400AndServerSurvives) {
+  StartServer();
+  // One past the fixed cap of 20: an unbounded run would walk 2^21 - 1
+  // subsets (2^64 with 64 preferences: undefined shift, unbounded memory).
+  // The request also asks for a cap of 64 through the retired wire field;
+  // the codec ignores it like any unknown key, so the cap holds.
+  Json body = Json::Object();
+  body.Set("algorithm", Json::Str("exhaustive"));
+  body.Set("base_query", Json::Str(kBaseSql));
+  body.Set("key_column", Json::Str("dblp.pid"));
+  Json prefs = Json::Array();
+  for (int i = 0; i < 21; ++i) {
+    Json p = Json::Object();
+    p.Set("predicate", Json::Str("dblp_author.aid=" + std::to_string(i)));
+    p.Set("intensity", Json::Double(0.5));
+    prefs.Append(std::move(p));
+  }
+  body.Set("preferences", std::move(prefs));
+  body.Set("max_exhaustive_n", Json::Int(64));
+
+  auto reply = Fetch(port(), "POST", "/v1/alpha/enumerate", body.Dump());
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(reply->status, 400) << reply->body.substr(0, 200);
+  EXPECT_NE(reply->body.find("cap 20"), std::string::npos)
+      << reply->body.substr(0, 200);
+
+  auto health = Fetch(port(), "GET", "/healthz", "");
+  ASSERT_TRUE(health.ok()) << health.status().ToString();
+  EXPECT_EQ(health->status, 200);
+}
+
 TEST_F(HttpServerTest, UnknownTenantIs404AndUnknownRouteIs404) {
   StartServer();
   auto tenant = Fetch(port(), "POST", "/v1/nobody/enumerate",

@@ -22,17 +22,17 @@ class PepsTest : public ::testing::Test {
  protected:
   void SetUp() override {
     BuildMiniDblp(&db_);
-    enhancer_ =
-        std::make_unique<QueryEnhancer>(&db_, MiniBaseQuery(), "dblp.pid");
+    engine_ =
+        std::make_unique<ProbeEngine>(&db_, MiniBaseQuery(), "dblp.pid");
     prefs_ = MiniPreferences();
   }
   reldb::Database db_;
-  std::unique_ptr<QueryEnhancer> enhancer_;
+  std::unique_ptr<ProbeEngine> engine_;
   std::vector<PreferenceAtom> prefs_;
 };
 
 TEST_F(PepsTest, PairTableKeepsOnlyApplicablePairs) {
-  Peps peps(&prefs_, enhancer_.get());
+  Peps peps(&prefs_, engine_.get());
   ASSERT_TRUE(peps.PrecomputePairs().ok());
   // 8 applicable pairs by inspection (fixture comment).
   EXPECT_EQ(peps.pairs().size(), 8u);
@@ -46,11 +46,11 @@ TEST_F(PepsTest, PairTableKeepsOnlyApplicablePairs) {
 }
 
 TEST_F(PepsTest, CompleteOrderMatchesExhaustiveOracle) {
-  Peps peps(&prefs_, enhancer_.get());
+  Peps peps(&prefs_, engine_.get());
   auto order = peps.GenerateOrder(PepsMode::kComplete);
   ASSERT_TRUE(order.ok()) << order.status().ToString();
 
-  auto oracle = ExhaustiveAndCombinations(prefs_, *enhancer_);
+  auto oracle = ExhaustiveAndCombinations(prefs_, *engine_);
   ASSERT_TRUE(oracle.ok());
   // The oracle includes singles; PEPS order covers sizes >= 2.
   std::set<std::vector<size_t>> oracle_sets;
@@ -69,8 +69,8 @@ TEST_F(PepsTest, CompleteOrderMatchesExhaustiveOracle) {
 }
 
 TEST_F(PepsTest, ApproximateIsSubsetOfComplete) {
-  Peps complete(&prefs_, enhancer_.get());
-  Peps approx(&prefs_, enhancer_.get());
+  Peps complete(&prefs_, engine_.get());
+  Peps approx(&prefs_, engine_.get());
   auto complete_order = complete.GenerateOrder(PepsMode::kComplete);
   auto approx_order = approx.GenerateOrder(PepsMode::kApproximate);
   ASSERT_TRUE(complete_order.ok());
@@ -93,10 +93,10 @@ TEST_F(PepsTest, TopKMatchesBruteForceGroundTruth) {
   // The brute-force ranking scores each tuple by f_and over ALL matched
   // preferences; complete PEPS must reproduce it, because the full matched
   // set of every tuple is itself an applicable combination.
-  auto truth = ScoreTuplesByPreferences(*enhancer_, prefs_);
+  auto truth = ScoreTuplesByPreferences(*engine_, prefs_);
   ASSERT_TRUE(truth.ok());
 
-  Peps peps(&prefs_, enhancer_.get());
+  Peps peps(&prefs_, engine_.get());
   auto topk = peps.TopK(truth->size(), PepsMode::kComplete);
   ASSERT_TRUE(topk.ok()) << topk.status().ToString();
   ASSERT_EQ(topk->size(), truth->size());
@@ -114,7 +114,7 @@ TEST_F(PepsTest, TopKMatchesBruteForceGroundTruth) {
 }
 
 TEST_F(PepsTest, TopKHonorsK) {
-  Peps peps(&prefs_, enhancer_.get());
+  Peps peps(&prefs_, engine_.get());
   auto top3 = peps.TopK(3, PepsMode::kComplete);
   ASSERT_TRUE(top3.ok());
   EXPECT_EQ(top3->size(), 3u);
@@ -132,7 +132,7 @@ TEST_F(PepsTest, TopKCoversSinglePreferenceTuples) {
   // Paper 8 matches only aid=4... not in the preference list; paper 5
   // matches only aid=3 (single preference). Singles participation must
   // surface it when k is large.
-  Peps peps(&prefs_, enhancer_.get());
+  Peps peps(&prefs_, engine_.get());
   auto all = peps.TopK(100, PepsMode::kComplete);
   ASSERT_TRUE(all.ok());
   bool found_p5 = false;
@@ -147,7 +147,7 @@ TEST_F(PepsTest, TopKCoversSinglePreferenceTuples) {
 }
 
 TEST_F(PepsTest, ExpansionProbesAreCounted) {
-  Peps peps(&prefs_, enhancer_.get());
+  Peps peps(&prefs_, engine_.get());
   ASSERT_TRUE(peps.GenerateOrder(PepsMode::kComplete).ok());
   EXPECT_GT(peps.num_expansion_probes(), 0u);
 }
@@ -155,10 +155,10 @@ TEST_F(PepsTest, ExpansionProbesAreCounted) {
 TEST(PepsEdge, EmptyAndSinglePreferenceLists) {
   reldb::Database db;
   BuildMiniDblp(&db);
-  QueryEnhancer enhancer(&db, MiniBaseQuery(), "dblp.pid");
+  ProbeEngine engine(&db, MiniBaseQuery(), "dblp.pid");
 
   std::vector<PreferenceAtom> empty;
-  Peps peps_empty(&empty, &enhancer);
+  Peps peps_empty(&empty, &engine);
   auto order = peps_empty.GenerateOrder(PepsMode::kComplete);
   ASSERT_TRUE(order.ok());
   EXPECT_TRUE(order->empty());
@@ -167,7 +167,7 @@ TEST(PepsEdge, EmptyAndSinglePreferenceLists) {
   EXPECT_TRUE(topk->empty());
 
   std::vector<PreferenceAtom> one{MakeAtom("dblp.venue='V1'", 0.5).value()};
-  Peps peps_one(&one, &enhancer);
+  Peps peps_one(&one, &engine);
   auto topk_one = peps_one.TopK(10, PepsMode::kComplete);
   ASSERT_TRUE(topk_one.ok());
   EXPECT_EQ(topk_one->size(), 3u);  // V1 papers 1, 2, 6

@@ -1,8 +1,8 @@
-// Tests for the unified enumeration API (api::Session + EnumeratorRegistry).
+// Tests for the unified enumeration API (api::Session + kAlgorithms).
 //
 // The load-bearing guarantee: dispatching an algorithm BY NAME through
 // Session::Enumerate produces byte-identical records/tuples to calling the
-// algorithm's direct entry point on an equivalent enhancer — for all six
+// algorithm's direct entry point on an equivalent engine — for all six
 // algorithms, with SIMD and scalar word kernels, across thread counts —
 // and those outputs match pinned expectations whose every record count is
 // re-checked against the scalar CombinationProber. On top of that: probe
@@ -124,8 +124,8 @@ TEST_F(SessionApiTest, ByteIdenticalToDirectCallsAllSixAlgorithms) {
       "0&1&2:1 0&2&3:1 0&1:2 0&3&4:1 0&2:2 0&3:2 1&2:2 0&4:1"};
   const std::string kPepsTopK = "1 7 2 4 6 3";
 
-  // The oracle enhancer is never shared with a run under test.
-  core::QueryEnhancer oracle(&db_, MiniBaseQuery(), "dblp.pid");
+  // The oracle engine is never shared with a run under test.
+  core::ProbeEngine oracle(&db_, MiniBaseQuery(), "dblp.pid");
   for (bool simd : {true, false}) {
     for (size_t num_threads : {size_t{1}, size_t{3}}) {
       core::ProbeOptions options;
@@ -133,10 +133,10 @@ TEST_F(SessionApiTest, ByteIdenticalToDirectCallsAllSixAlgorithms) {
       options.num_threads = num_threads;
       std::string label = std::string("simd=") + (simd ? "on" : "off") +
                           " threads=" + std::to_string(num_threads);
-      // A fresh direct enhancer per configuration; the session keeps
+      // A fresh direct engine per configuration; the session keeps
       // reusing ITS cached engine across all configurations, which is
       // exactly the sharing the equality must survive.
-      core::QueryEnhancer direct(&db_, MiniBaseQuery(), "dblp.pid");
+      core::ProbeEngine direct(&db_, MiniBaseQuery(), "dblp.pid");
       // Session == direct, every count == the scalar oracle, output == pin.
       auto check = [&](const std::string& what,
                        const std::vector<CombinationRecord>& session_records,
@@ -149,7 +149,7 @@ TEST_F(SessionApiTest, ByteIdenticalToDirectCallsAllSixAlgorithms) {
       };
 
       check("exhaustive", Enumerate(MakeRequest("exhaustive", options)).records,
-            *core::ExhaustiveAndCombinations(prefs_, direct, 20, options),
+            *core::ExhaustiveAndCombinations(prefs_, direct, options),
             kExhaustive);
 
       for (core::CombineSemantics semantics :
@@ -203,8 +203,7 @@ TEST_F(SessionApiTest, ByteIdenticalToDirectCallsAllSixAlgorithms) {
       {
         EnumerationRequest request = MakeRequest("ta", options);
         request.k = 3;
-        auto lists =
-            core::BuildGradedLists(direct.probe_engine(), prefs_);
+        auto lists = core::BuildGradedLists(direct, prefs_);
         ASSERT_TRUE(lists.ok());
         ExpectTuplesEqual(Enumerate(request).top_k,
                           *core::ThresholdAlgorithmTopK(*lists, 3),
@@ -266,7 +265,7 @@ TEST_F(SessionApiTest, BudgetTruncatesEveryRecordAlgorithmIdentically) {
       {"bias-random", "0&3:2"},
       {"peps", "0&1:2 0&2:2 0&3:2 1&2:2 0&4:1"},
   };
-  core::QueryEnhancer oracle(&db_, MiniBaseQuery(), "dblp.pid");
+  core::ProbeEngine oracle(&db_, MiniBaseQuery(), "dblp.pid");
   for (const Pin& pin : pins) {
     EnumerationRequest request = MakeRequest(pin.algorithm);
     request.seed = 7;
@@ -387,9 +386,14 @@ TEST_F(SessionApiTest, RegistryListsAllSixAlgorithms) {
   EXPECT_EQ(names, (std::vector<std::string>{
                        "bias-random", "combine-two", "exhaustive",
                        "partially-combine-all", "peps", "ta"}));
-  for (const CombinationEnumerator* e :
-       EnumeratorRegistry::Global().Enumerators()) {
-    EXPECT_FALSE(e->description().empty());
+  ASSERT_EQ(kAlgorithms.size(), names.size());
+  for (size_t i = 0; i < kAlgorithms.size(); ++i) {
+    EXPECT_EQ(kAlgorithms[i].name, names[i]);
+    EXPECT_FALSE(kAlgorithms[i].description.empty()) << names[i];
+    EXPECT_NE(kAlgorithms[i].run, nullptr) << names[i];
+    auto found = FindAlgorithm(names[i]);
+    ASSERT_TRUE(found.ok()) << names[i];
+    EXPECT_EQ(*found, &kAlgorithms[i]);
   }
 }
 
@@ -451,7 +455,7 @@ TEST_F(SessionApiTest, RefreshPinsEpochAfterMutations) {
 
   // The refreshed session answers match a from-scratch engine on the
   // mutated database.
-  core::QueryEnhancer fresh(&db_, MiniBaseQuery(), "dblp.pid");
+  core::ProbeEngine fresh(&db_, MiniBaseQuery(), "dblp.pid");
   core::Peps peps(&prefs_, &fresh, core::ProbeOptions{});
   ExpectRecordsEqual(after.records,
                      *peps.GenerateOrder(core::PepsMode::kComplete),
