@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
+#include <optional>
 #include <utility>
 
 #include "hypre/telemetry/registry.h"
@@ -50,17 +51,6 @@ void FoldRequestStats(const core::ProbeStats& stats, uint64_t request_us) {
 #endif
 
 }  // namespace
-
-Session::~Session() {
-  if (checkpoint_thread_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(checkpoint_mu_);
-      checkpoint_shutdown_ = true;
-    }
-    checkpoint_cv_.notify_all();
-    checkpoint_thread_.join();
-  }
-}
 
 Result<core::ProbeEngine*> Session::GetEngine(
     const reldb::Query& base_query, const std::string& key_column) {
@@ -208,11 +198,9 @@ Status Session::SaveSnapshot() {
     return Status::InvalidArgument(
         "session has no storage attached (AttachStorage first)");
   }
-  // An explicit snapshot must cover everything: wait out any background
-  // write, retire its snapshot, then checkpoint synchronously. The refresh
-  // is blocking — every engine's journal suffix must be APPLIED before its
-  // image is captured, so this waits for in-flight readers to drain.
-  HYPRE_RETURN_NOT_OK(DrainBackgroundCheckpoint());
+  // The refresh is blocking — every engine's journal suffix must be
+  // APPLIED before its image is captured, so this waits for in-flight
+  // readers to drain.
   HYPRE_ASSIGN_OR_RETURN(uint64_t epoch, RefreshAllBlocking());
   (void)epoch;
   return store_->WriteCheckpoint(owned_db_.get(), CaptureEngineStates());
@@ -225,169 +213,6 @@ Status Session::CommitJournal() {
         "session has no storage attached (AttachStorage first)");
   }
   return store_->CommitJournal(*db_);
-}
-
-Status Session::FinishPublishedCheckpoint() {
-  uint64_t seq = 0;
-  {
-    std::lock_guard<std::mutex> lock(checkpoint_mu_);
-    if (!published_pending_) return Status::OK();
-    published_pending_ = false;
-    seq = published_seq_;
-  }
-  telemetry::TraceSpan span("storage", "checkpoint_retire");
-  store_->NoteSnapshotPublished(seq);
-  // The rotation re-spills every committed record past the snapshot into
-  // the fresh log before the rename, so this is safe at any time on the
-  // request path — see storage::EngineStore::RotateWalRespill.
-  HYPRE_RETURN_NOT_OK(store_->RotateWalRespill(*db_));
-  // Engine cursors were all >= seq when the blob was captured and only
-  // advance; the journal prefix below seq has no remaining consumer.
-  owned_db_->mutable_journal()->TruncateTo(seq);
-  return Status::OK();
-}
-
-Status Session::DrainBackgroundCheckpoint() {
-  {
-    std::unique_lock<std::mutex> lock(checkpoint_mu_);
-    checkpoint_cv_.wait(lock, [&] { return !checkpoint_inflight_; });
-    if (!checkpoint_error_.ok()) {
-      Status error = checkpoint_error_;
-      checkpoint_error_ = Status::OK();
-      return error;
-    }
-  }
-  return FinishPublishedCheckpoint();
-}
-
-void Session::EnsureCheckpointThread() {
-  if (checkpoint_thread_.joinable()) return;
-  checkpoint_thread_ = std::thread([this] { CheckpointWorkerMain(); });
-}
-
-void Session::CheckpointWorkerMain() {
-  std::unique_lock<std::mutex> lock(checkpoint_mu_);
-  for (;;) {
-    checkpoint_cv_.wait(lock, [&] {
-      return checkpoint_shutdown_ || checkpoint_job_.has_value();
-    });
-    if (checkpoint_shutdown_) return;
-    PendingCheckpoint job = std::move(*checkpoint_job_);
-    checkpoint_job_.reset();
-    lock.unlock();
-
-    // File I/O only: the worker never touches the database, the engines,
-    // or the WAL writer. The request thread owns all of those.
-#if HYPRE_TELEMETRY_ENABLED
-    auto start = std::chrono::steady_clock::now();
-#endif
-    Status published = store_->PublishSnapshotBlob(job.blob);
-    HYPRE_TELEMETRY_STMT(
-        telemetry::MetricsRegistry::Global()
-            .GetHistogram("hypre_storage_checkpoint_duration_ms", "storage",
-                          "Milliseconds per checkpoint (spill through "
-                          "rotation)")
-            ->Record(uint64_t(
-                std::chrono::duration_cast<std::chrono::milliseconds>(
-                    std::chrono::steady_clock::now() - start)
-                    .count()));
-        telemetry::MetricsRegistry::Global()
-            .GetCounter("hypre_storage_checkpoints_total", "storage",
-                        "Checkpoints published (snapshot + WAL rotation)")
-            ->Increment();
-        telemetry::MetricsRegistry::Global()
-            .GetCounter("hypre_storage_snapshot_bytes_total", "storage",
-                        "Encoded snapshot bytes written")
-            ->Add(job.blob.size()));
-
-    lock.lock();
-    if (published.ok()) {
-      published_pending_ = true;
-      published_seq_ = job.seq;
-    } else {
-      checkpoint_error_ = published;
-    }
-    checkpoint_inflight_ = false;
-    checkpoint_cv_.notify_all();
-  }
-}
-
-Status Session::MaybeAutoCheckpoint() {
-  if (store_ == nullptr) return Status::OK();
-  // Requests race into here; the policy itself (finish/threshold/encode/
-  // enqueue) must run one at a time or two threads would encode the same
-  // snapshot and double-rotate the WAL.
-  std::lock_guard<std::mutex> storage_lock(storage_mu_);
-  // A background failure is surfaced on the next request — the policy is
-  // best-effort, but silent failure would let the WAL grow unbounded.
-  {
-    std::lock_guard<std::mutex> lock(checkpoint_mu_);
-    if (!checkpoint_error_.ok()) {
-      Status error = checkpoint_error_;
-      checkpoint_error_ = Status::OK();
-      return error;
-    }
-  }
-  HYPRE_RETURN_NOT_OK(FinishPublishedCheckpoint());
-  uint64_t threshold = store_->options().auto_checkpoint_mutations;
-  if (threshold == 0) return Status::OK();
-  {
-    std::lock_guard<std::mutex> lock(checkpoint_mu_);
-    if (checkpoint_inflight_) {
-      // One snapshot at a time; the threshold check re-fires next request.
-      HYPRE_TELEMETRY_STMT(
-          telemetry::MetricsRegistry::Global()
-              .GetCounter("hypre_storage_checkpoint_skipped_total", "storage",
-                          "Auto-checkpoints skipped (one already in flight)")
-              ->Increment());
-      return Status::OK();
-    }
-  }
-  uint64_t pending = db_->journal().sequence() - store_->snapshot_sequence();
-  if (pending < threshold) return Status::OK();
-
-  telemetry::TraceSpan span("storage", "checkpoint_prepare");
-  // Durability point and blob capture stay on the request path. The
-  // refresh is NON-blocking: with readers pinned it defers, and a deferred
-  // suffix means that engine's cursor sits behind the sequence this
-  // checkpoint would cover — truncating the journal to it would strand the
-  // engine. Skip the round and let the threshold re-fire on a later
-  // request once the readers drain; the WAL keeps everything durable
-  // meanwhile.
-  HYPRE_ASSIGN_OR_RETURN(uint64_t epoch, Refresh());
-  (void)epoch;
-  {
-    std::shared_lock<std::shared_mutex> lock(engines_mu_);
-    for (const auto& [key, engine] : engines_) {
-      if (engine->has_deferred_refresh()) {
-        HYPRE_TELEMETRY_STMT(
-            telemetry::MetricsRegistry::Global()
-                .GetCounter(
-                    "hypre_storage_checkpoint_deferred_total", "storage",
-                    "Auto-checkpoint rounds skipped because an engine's "
-                    "refresh was deferred by pinned readers")
-                ->Increment());
-        return Status::OK();
-      }
-    }
-  }
-  HYPRE_RETURN_NOT_OK(store_->CommitJournal(*db_));
-  uint64_t seq = db_->journal().sequence();
-  std::string blob =
-      storage::EncodeSnapshot(*owned_db_, seq, CaptureEngineStates());
-  HYPRE_TELEMETRY_STMT(
-      telemetry::MetricsRegistry::Global()
-          .GetCounter("hypre_storage_checkpoint_queued_total", "storage",
-                      "Snapshot writes handed to the background worker")
-          ->Increment());
-  EnsureCheckpointThread();
-  {
-    std::lock_guard<std::mutex> lock(checkpoint_mu_);
-    checkpoint_job_ = PendingCheckpoint{std::move(blob), seq};
-    checkpoint_inflight_ = true;
-  }
-  checkpoint_cv_.notify_all();
-  return Status::OK();
 }
 
 Result<std::unique_ptr<Session>> Session::OpenFromSnapshot(
@@ -442,9 +267,9 @@ Result<EnumerationResult> Session::Enumerate(
     telemetry::Trace trace;
     {
       // The target installs a thread_local, so every TraceSpan opened under
-      // EnumerateInternal — engine, prober, delta, storage — lands in this
-      // request's buffer with no plumbing. Both scopes must close before
-      // the trace moves into the result (open spans hold its address).
+      // EnumerateInternal — engine, prober, delta — lands in this request's
+      // buffer with no plumbing. Both scopes must close before the trace
+      // moves into the result (open spans hold its address).
       telemetry::ScopedTraceTarget target(&trace);
       telemetry::TraceSpan root("api", "enumerate");
       HYPRE_RETURN_NOT_OK(EnumerateInternal(request, &result));
@@ -467,11 +292,6 @@ Status Session::EnumerateInternal(const EnumerationRequest& request,
                          FindAlgorithm(request.algorithm));
   HYPRE_ASSIGN_OR_RETURN(core::ProbeEngine * engine,
                          GetEngine(request.base_query, request.key_column));
-
-  // Auto-checkpoint BEFORE the epoch is pinned: a checkpoint refreshes
-  // every engine, and doing that under this request's own pin would only
-  // defer it again.
-  HYPRE_RETURN_NOT_OK(MaybeAutoCheckpoint());
 
   // Pin the epoch: the whole run probes one consistent snapshot. A
   // refresh-first pin (request.refresh, the default) drains the mutation

@@ -20,25 +20,26 @@
 //  * READ side. Enumerate()/GetEngine()/Refresh() may be called from any
 //    thread at any time. Each request takes a refcounted EPOCH PIN on its
 //    engine (ProbeEngine::PinEpoch): while any pin is held the engine's
-//    interned state is immutable — a concurrent Refresh or auto-checkpoint
-//    defers the journal suffix instead of resizing bitmaps under the run,
-//    and applies it when the last reader drains. A request with
-//    request.refresh = true drains the journal first (read-your-writes),
-//    which reads base tables, so it belongs to the WRITE side below; a
-//    request with refresh = false is a PURE reader and never touches
-//    tables, making it safe even against a concurrent writer.
+//    interned state is immutable — a concurrent Refresh defers the journal
+//    suffix instead of resizing bitmaps under the run, and applies it when
+//    the last reader drains. A request with request.refresh = true drains
+//    the journal first (read-your-writes), which reads base tables, so it
+//    belongs to the WRITE side below; a request with refresh = false is a
+//    PURE reader: it never touches tables or storage state, making it safe
+//    even against a concurrent writer mid-fsync.
 //  * WRITE side. Base-table mutations, refresh-bearing requests,
 //    Session::Refresh(), and every storage operation (AttachStorage /
-//    SaveSnapshot / CommitJournal and the auto-checkpoint policy) must be
-//    serialized with EACH OTHER by the caller — one writer thread, or an
-//    external lock. They need no coordination with the read side: that is
-//    what the epoch pins and the internal locks below provide.
+//    SaveSnapshot / CommitJournal) must be serialized with EACH OTHER by
+//    the caller — one writer thread, or an external lock. They need no
+//    coordination with the read side: that is what the epoch pins and the
+//    internal locks below provide. SaveSnapshot() is the only checkpoint
+//    path; the session runs no thread of its own for storage.
 //
 // Internal synchronization (lock order, outermost first — see also the
 // epoch-pin section in probe_engine.h and the concurrency section of
 // ARCHITECTURE.md):
-//   storage_mu_   — serializes the storage entry points and the
-//                   auto-checkpoint policy against each other
+//   storage_mu_   — serializes the three storage entry points against each
+//                   other; the request path never takes it
 //   engines_mu_   — shared_mutex over the engine cache: shared for
 //                   lookup/iteration, unique only for first-touch insert
 //   pool_mu_      — one-time creation of the shared TaskPool (published
@@ -56,13 +57,10 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <shared_mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -87,9 +85,6 @@ class Session {
 
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
-  /// Joins the background checkpoint worker (a queued-but-unstarted job is
-  /// dropped; its mutations are already durable in the WAL).
-  ~Session();
 
   /// \brief Reopens a session from a storage directory: loads the snapshot,
   /// replays the write-ahead journal tail, rebuilds every persisted engine
@@ -163,9 +158,9 @@ class Session {
   /// loss; reopen such a directory with OpenFromSnapshot instead. Requires
   /// a session that owns its database (the store truncates the journal,
   /// which a borrowed database's other consumers would not survive).
-  /// Subsequent mutations become durable via CommitJournal() /
-  /// SaveSnapshot() or the auto-checkpoint policy in
-  /// StorageOptions::auto_checkpoint_mutations.
+  /// Subsequent mutations become durable via CommitJournal() (WAL group
+  /// commit) and are folded into the snapshot by SaveSnapshot(); nothing
+  /// checkpoints implicitly.
   Status AttachStorage(const std::string& dir,
                        const storage::StorageOptions& options = {});
 
@@ -183,11 +178,6 @@ class Session {
   bool has_storage() const { return store_ != nullptr; }
   /// \brief The attached store (null when not storage-backed).
   storage::EngineStore* store() { return store_.get(); }
-  /// \brief True while the background worker is writing a snapshot.
-  bool checkpoint_in_flight() const {
-    std::lock_guard<std::mutex> lock(checkpoint_mu_);
-    return checkpoint_inflight_;
-  }
 
  private:
   /// Captures every cached engine's durable state, sorted by cache key so
@@ -203,37 +193,6 @@ class Session {
   Status EnumerateInternal(const EnumerationRequest& request,
                            EnumerationResult* result);
 
-  // --- Background auto-checkpointing ---------------------------------------
-  //
-  // The auto_checkpoint_mutations policy (PR 7) ran the full checkpoint —
-  // snapshot encode AND write — inside the triggering request. Now only
-  // the WAL group commit and the in-memory encode stay on the request
-  // path; the snapshot's file I/O (write + fsync + rename, the dominant
-  // cost) moves to a lazily spawned worker thread. The WAL rotation +
-  // journal truncation that retire a published snapshot are deferred to
-  // the NEXT request (FinishPublishedCheckpoint), because rotating the log
-  // off-thread while the request path appends to it would reintroduce the
-  // recovery data-loss hazard documented in storage/store.h.
-
-  /// Applies the auto-checkpoint policy after a mutation-bearing request:
-  /// surfaces any sticky background failure, retires a published snapshot,
-  /// and enqueues a new checkpoint when the threshold is reached (skipped
-  /// while one is in flight).
-  Status MaybeAutoCheckpoint();
-  /// Request-path tail of a background checkpoint: records the published
-  /// snapshot, rotates the WAL (re-spilling the tail), truncates the
-  /// journal.
-  Status FinishPublishedCheckpoint();
-  /// Blocks until no snapshot write is in flight, surfaces any background
-  /// error, and retires a published snapshot.
-  Status DrainBackgroundCheckpoint();
-  void EnsureCheckpointThread();
-  void CheckpointWorkerMain();
-
-  struct PendingCheckpoint {
-    std::string blob;  // EncodeSnapshot output, captured while quiescent
-    uint64_t seq = 0;  // journal sequence the blob covers
-  };
   std::unique_ptr<reldb::Database> owned_db_;
   const reldb::Database* db_;
   // Lazily created shared runtime for all requests (see task_pool()).
@@ -253,26 +212,12 @@ class Session {
   // Request admission (FIFO, concurrency + probe-budget caps).
   AdmissionScheduler scheduler_;
   // Serializes the storage entry points (AttachStorage, SaveSnapshot,
-  // CommitJournal) and the per-request auto-checkpoint policy against each
-  // other. Ordered BEFORE engines_mu_ and the engines' refresh mutexes.
+  // CommitJournal) against each other. Ordered BEFORE engines_mu_ and the
+  // engines' refresh mutexes; Enumerate never takes it.
   std::mutex storage_mu_;
   // Durable storage backend; null until AttachStorage/OpenFromSnapshot.
   // The pointer is written once under storage_mu_ before concurrent use.
   std::unique_ptr<storage::EngineStore> store_;
-
-  // Background checkpointer state (all guarded by checkpoint_mu_ except
-  // the thread handle, touched only by the session's owner thread).
-  std::thread checkpoint_thread_;
-  mutable std::mutex checkpoint_mu_;
-  std::condition_variable checkpoint_cv_;
-  std::optional<PendingCheckpoint> checkpoint_job_;
-  bool checkpoint_inflight_ = false;
-  bool checkpoint_shutdown_ = false;
-  // A snapshot the worker published whose WAL rotation is still pending.
-  bool published_pending_ = false;
-  uint64_t published_seq_ = 0;
-  // Sticky failure from the worker, surfaced on the next request.
-  Status checkpoint_error_;
 };
 
 }  // namespace api

@@ -72,6 +72,12 @@ Result<DecodedEnumerate> DecodeEnumerateRequest(const std::string& body) {
     return Status::InvalidArgument(
         "enumerate request: 'preferences' must not be empty");
   }
+  if (preferences->size() > kMaxRequestPreferences) {
+    return Status::InvalidArgument(
+        "enumerate request: 'preferences' holds " +
+        std::to_string(preferences->size()) + " entries (cap " +
+        std::to_string(kMaxRequestPreferences) + ")");
+  }
   for (size_t i = 0; i < preferences->size(); ++i) {
     const Json& entry = preferences->at(i);
     const std::string context = "preferences[" + std::to_string(i) + "]";

@@ -25,6 +25,7 @@
 //   error response     {"error": {"status", "code", "message"}}
 #pragma once
 
+#include <cstddef>
 #include <string>
 
 #include "common/json.h"
@@ -34,6 +35,14 @@
 
 namespace hypre {
 namespace server {
+
+/// \brief Most preferences one enumerate request may carry. combine-two
+/// builds its whole pair frontier before any probe budget trims it, so an
+/// uncapped list lets one small body ask for ~N^2/2 combinations; 256
+/// bounds that at C(256,2) = 32,640. The largest body the serving
+/// benchmark sends is its leaf warm-up (one combine-two request carrying
+/// the hot set's 248 distinct leaves), so the cap sits just above it.
+constexpr size_t kMaxRequestPreferences = 256;
 
 /// \brief A decoded enumerate body: the api request plus the server-level
 /// knobs that ride alongside it in the JSON.

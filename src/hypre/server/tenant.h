@@ -105,9 +105,10 @@ class Tenant {
   /// \brief Blocks until every currently queued write has run.
   Status Drain();
 
-  /// \brief Serialized on the writer thread: group-commits the journal and
-  /// waits out any background checkpoint. No-op without attached storage.
-  /// The graceful-shutdown path runs this per dirty tenant.
+  /// \brief Serialized on the writer thread: runs Session::SaveSnapshot (a
+  /// full checkpoint — WAL commit, snapshot, WAL rotation, journal
+  /// truncation). No-op without attached storage. Eviction and the
+  /// graceful-shutdown drain run this per tenant.
   Status FlushCheckpoint();
 
   /// \brief Drains and joins the writer thread; later writes are shed with

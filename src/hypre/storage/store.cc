@@ -12,7 +12,7 @@ namespace storage {
 namespace {
 
 #if HYPRE_TELEMETRY_ENABLED
-/// Checkpoint accounting shared by the synchronous and background paths.
+/// Checkpoint accounting: the one place checkpoint metrics are recorded.
 void RecordCheckpoint(uint64_t duration_ms, size_t snapshot_bytes) {
   telemetry::MetricsRegistry& registry = telemetry::MetricsRegistry::Global();
   registry
@@ -36,7 +36,7 @@ Result<std::unique_ptr<EngineStore>> EngineStore::Open(
     const std::string& dir, const StorageOptions& options) {
   Env* env = options.env != nullptr ? options.env : Env::Default();
   HYPRE_RETURN_NOT_OK(env->CreateDirIfMissing(dir));
-  std::unique_ptr<EngineStore> store(new EngineStore(dir, options, env));
+  std::unique_ptr<EngineStore> store(new EngineStore(dir, env));
   // In-flight temp files from a previous crashed run are dead weight; the
   // live names are the only durable truth.
   HYPRE_RETURN_NOT_OK(env->RemoveFile(store->snapshot_path() + ".tmp"));
@@ -125,26 +125,6 @@ Status EngineStore::WriteCheckpoint(
       snapshot_bytes));
   (void)snapshot_bytes;
   return Status::OK();
-}
-
-Status EngineStore::PublishSnapshotBlob(const std::string& blob) {
-  telemetry::TraceSpan span("storage", "snapshot_publish");
-  return WriteSnapshotBlob(env_, snapshot_path(), blob);
-}
-
-Status EngineStore::RotateWalRespill(const reldb::Database& db) {
-  telemetry::TraceSpan span("storage", "wal_rotate_respill");
-  writer_.reset();
-  std::string tmp = dir_ + "/wal.tmp";
-  HYPRE_ASSIGN_OR_RETURN(writer_,
-                         WalWriter::Create(env_, tmp, snapshot_seq_));
-  wal_seq_ = snapshot_seq_;
-  // Every committed record at or past the snapshot goes into the fresh log
-  // BEFORE it replaces wal.log — the old WAL stays the durable truth until
-  // its successor carries the full tail.
-  HYPRE_RETURN_NOT_OK(SpillJournalTail(db));
-  HYPRE_RETURN_NOT_OK(writer_->Sync());
-  return env_->RenameFile(tmp, wal_path());
 }
 
 Result<SnapshotContents> EngineStore::Recover() {

@@ -43,15 +43,13 @@
 namespace hypre {
 namespace storage {
 
-/// \brief Knobs for a storage-attached session.
+/// \brief Knobs for a storage-attached session. Checkpoints are explicit
+/// only (api::Session::SaveSnapshot; CommitJournal for WAL durability);
+/// the store never checkpoints on its own.
 struct StorageOptions {
   /// File-system seam; null uses Env::Default(). Tests inject a
   /// FaultInjectionEnv here.
   Env* env = nullptr;
-  /// When > 0, api::Session checkpoints automatically once this many
-  /// journal entries accumulate past the last snapshot. 0 disables the
-  /// policy (explicit SaveSnapshot()/CommitJournal() only).
-  uint64_t auto_checkpoint_mutations = 0;
 };
 
 class EngineStore {
@@ -89,48 +87,16 @@ class EngineStore {
   Status WriteCheckpoint(reldb::Database* db,
                          const std::vector<SnapshotEngineState>& engines);
 
-  // --- Background-checkpoint split ----------------------------------------
-  //
-  // api::Session's background checkpointer decomposes WriteCheckpoint so
-  // that only pure file I/O leaves the request thread:
-  //
-  //   request thread:   CommitJournal (durability point), EncodeSnapshot
-  //   worker thread:    PublishSnapshotBlob (tmp + fsync + rename)
-  //   request thread:   NoteSnapshotPublished, RotateWalRespill, TruncateTo
-  //
-  // The WAL steps stay on the request thread deliberately: rotating the log
-  // concurrently with new appends would re-create the recovery data-loss
-  // hazard documented above (a fresh WAL renamed over committed records
-  // before they are re-spilled).
-
-  /// \brief Publishes an encoded snapshot blob (see EncodeSnapshot) under
-  /// this store's snapshot name. Pure file I/O — safe off-thread; does NOT
-  /// advance snapshot_sequence() (the owning thread does, via
-  /// NoteSnapshotPublished).
-  Status PublishSnapshotBlob(const std::string& blob);
-
-  /// \brief Records that a snapshot covering `seq` is now the live file.
-  void NoteSnapshotPublished(uint64_t seq) { snapshot_seq_ = seq; }
-
-  /// \brief Rotates the WAL to base snapshot_sequence(), RE-SPILLING every
-  /// journal entry at or past it into the fresh log before the rename —
-  /// committed records that postdate the snapshot survive the rotation.
-  /// Leaves wal_sequence() == db.journal().sequence(); the caller may then
-  /// TruncateTo(snapshot_sequence()).
-  Status RotateWalRespill(const reldb::Database& db);
-
   /// \brief Journal sequence covered by the current snapshot.
   uint64_t snapshot_sequence() const { return snapshot_seq_; }
   /// \brief Next journal sequence the WAL has not spilled yet.
   uint64_t wal_sequence() const { return wal_seq_; }
 
-  const StorageOptions& options() const { return options_; }
   Env* env() const { return env_; }
   const std::string& dir() const { return dir_; }
 
  private:
-  EngineStore(std::string dir, StorageOptions options, Env* env)
-      : dir_(std::move(dir)), options_(options), env_(env) {}
+  EngineStore(std::string dir, Env* env) : dir_(std::move(dir)), env_(env) {}
 
   /// Spills journal entries [wal_seq_, journal.sequence()) without syncing.
   Status SpillJournalTail(const reldb::Database& db);
@@ -138,7 +104,6 @@ class EngineStore {
   Status RotateWal(uint64_t base);
 
   std::string dir_;
-  StorageOptions options_;
   Env* env_;
   std::unique_ptr<WalWriter> writer_;
   uint64_t snapshot_seq_ = 0;

@@ -371,6 +371,37 @@ TEST_F(HttpServerTest, OversizedExhaustiveRequestIs400AndServerSurvives) {
   EXPECT_EQ(health->status, 200);
 }
 
+TEST_F(HttpServerTest, TooManyPreferencesIs400AndServerSurvives) {
+  StartServer();
+  // One past the wire cap (~13 KB of short predicates). combine-two builds
+  // its whole C(N,2) pair frontier before the probe budget trims it, so a
+  // budget alone does not bound the allocation; the cap does.
+  Json body = Json::Object();
+  body.Set("algorithm", Json::Str("combine-two"));
+  body.Set("base_query", Json::Str(kBaseSql));
+  body.Set("key_column", Json::Str("dblp.pid"));
+  body.Set("probe_budget", Json::Int(1));
+  Json prefs = Json::Array();
+  for (size_t i = 0; i <= kMaxRequestPreferences; ++i) {
+    Json p = Json::Object();
+    p.Set("predicate", Json::Str("dblp_author.aid=" + std::to_string(i)));
+    p.Set("intensity", Json::Double(0.5));
+    prefs.Append(std::move(p));
+  }
+  body.Set("preferences", std::move(prefs));
+
+  auto reply = Fetch(port(), "POST", "/v1/alpha/enumerate", body.Dump());
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(reply->status, 400) << reply->body.substr(0, 200);
+  EXPECT_NE(reply->body.find("cap " + std::to_string(kMaxRequestPreferences)),
+            std::string::npos)
+      << reply->body.substr(0, 200);
+
+  auto health = Fetch(port(), "GET", "/healthz", "");
+  ASSERT_TRUE(health.ok()) << health.status().ToString();
+  EXPECT_EQ(health->status, 200);
+}
+
 TEST_F(HttpServerTest, UnknownTenantIs404AndUnknownRouteIs404) {
   StartServer();
   auto tenant = Fetch(port(), "POST", "/v1/nobody/enumerate",

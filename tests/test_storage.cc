@@ -1,19 +1,25 @@
 // Tests for the durable storage layer: format primitives, JSON catalog,
 // write-ahead log, snapshots, journal truncation edge cases, and the
 // api::Session storage surface (AttachStorage / SaveSnapshot /
-// OpenFromSnapshot / auto-checkpoint).
+// CommitJournal / OpenFromSnapshot).
 //
 // The load-bearing guarantees:
 //  * every on-disk artifact round-trips exactly (bytes in == state out);
 //  * a torn WAL tail recovers the valid prefix, while a fully-present
 //    record failing a checksum fails CLOSED (never a silent drop);
 //  * a session reopened from a snapshot answers enumeration requests
-//    byte-identically to the session that wrote it.
+//    byte-identically to the session that wrote it;
+//  * a pure (refresh = false) read never waits on storage, not even on a
+//    WAL fsync in flight on the writer thread.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <cstdint>
+#include <future>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -742,39 +748,156 @@ TEST_F(SessionStorageTest, OpenFromSnapshotFailsClosedOnMissingOrCorrupt) {
   EXPECT_FALSE(api::Session::OpenFromSnapshot(dir).ok());
 }
 
-TEST_F(SessionStorageTest, AutoCheckpointFiresOnceEnoughMutationsAccrue) {
-  std::string dir = MakeTempDir("auto_ckpt");
-  StorageOptions options;
-  options.auto_checkpoint_mutations = 3;
-  api::Session session(MakeDb());
-  api::EnumerationRequest request = MakeRequest("combine-two");
-  ASSERT_TRUE(session.Enumerate(request).ok());
-  ASSERT_TRUE(session.AttachStorage(dir, options).ok());
-  uint64_t base = session.store()->snapshot_sequence();
+// Env wrapper that holds the write-ahead log's Sync() hostage once armed:
+// the writer thread parks inside the fsync, exactly where a slow disk would
+// keep it, while the test probes what else can still run.
+class BlockingSyncEnv : public Env {
+ public:
+  explicit BlockingSyncEnv(Env* base) : base_(base) {}
 
-  reldb::Table* da = session.mutable_db()->GetTable("dblp_author");
-  // Two mutations: below the threshold, no new checkpoint.
-  ASSERT_TRUE(da->Append({reldb::Value::Int(2), reldb::Value::Int(3)}).ok());
-  ASSERT_TRUE(da->Append({reldb::Value::Int(5), reldb::Value::Int(1)}).ok());
-  ASSERT_TRUE(session.Enumerate(request).ok());
-  EXPECT_EQ(session.store()->snapshot_sequence(), base);
-
-  // A third crosses it: the next request commits the WAL and hands the
-  // snapshot write to the background worker before pinning.
-  ASSERT_TRUE(da->Append({reldb::Value::Int(6), reldb::Value::Int(4)}).ok());
-  ASSERT_TRUE(session.Enumerate(request).ok());
-  // Wait for the worker to publish, then let a follow-up request retire the
-  // snapshot (WAL rotation + journal truncation happen on the request path).
-  while (session.checkpoint_in_flight()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  void Arm() { armed_.store(true); }
+  void Release() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      released_ = true;
+    }
+    cv_.notify_all();
   }
-  ASSERT_TRUE(session.Enumerate(request).ok());
-  EXPECT_EQ(session.store()->snapshot_sequence(), base + 3);
+  /// Waits until a Sync() is parked (or `timeout` passes); true if parked.
+  bool WaitUntilBlocked(std::chrono::milliseconds timeout) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, timeout, [&] { return blocked_; });
+  }
 
-  // The directory is immediately reopenable at the auto-checkpointed state.
+  Result<std::unique_ptr<WritableFile>> NewWritableFile(
+      const std::string& path, bool truncate) override {
+    HYPRE_ASSIGN_OR_RETURN(std::unique_ptr<WritableFile> file,
+                           base_->NewWritableFile(path, truncate));
+    if (path.find("/wal.") == std::string::npos) return file;
+    return std::unique_ptr<WritableFile>(
+        new HostageFile(this, std::move(file)));
+  }
+  Result<std::string> ReadFileToString(const std::string& path) override {
+    return base_->ReadFileToString(path);
+  }
+  Status RenameFile(const std::string& from, const std::string& to) override {
+    return base_->RenameFile(from, to);
+  }
+  Status RemoveFile(const std::string& path) override {
+    return base_->RemoveFile(path);
+  }
+  bool FileExists(const std::string& path) override {
+    return base_->FileExists(path);
+  }
+  Result<uint64_t> FileSize(const std::string& path) override {
+    return base_->FileSize(path);
+  }
+  Status CreateDirIfMissing(const std::string& path) override {
+    return base_->CreateDirIfMissing(path);
+  }
+  Status TruncateFile(const std::string& path, uint64_t size) override {
+    return base_->TruncateFile(path, size);
+  }
+
+ private:
+  class HostageFile : public WritableFile {
+   public:
+    HostageFile(BlockingSyncEnv* env, std::unique_ptr<WritableFile> base)
+        : env_(env), base_(std::move(base)) {}
+    Status Append(const void* data, size_t n) override {
+      return base_->Append(data, n);
+    }
+    Status Sync() override {
+      if (env_->armed_.load()) {
+        std::unique_lock<std::mutex> lock(env_->mu_);
+        env_->blocked_ = true;
+        env_->cv_.notify_all();
+        env_->cv_.wait(lock, [&] { return env_->released_; });
+      }
+      return base_->Sync();
+    }
+    Status Close() override { return base_->Close(); }
+
+   private:
+    BlockingSyncEnv* env_;
+    std::unique_ptr<WritableFile> base_;
+  };
+
+  Env* base_;
+  std::atomic<bool> armed_{false};
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool blocked_ = false;
+  bool released_ = false;
+};
+
+TEST_F(SessionStorageTest, PureReadDoesNotWaitOnAWalFsyncInFlight) {
+  std::string dir = MakeTempDir("pure_read");
+  BlockingSyncEnv env(Env::Default());
+  StorageOptions options;
+  options.env = &env;
+  uint64_t committed_seq = 0;
+  {
+    api::Session session(MakeDb());
+    api::EnumerationRequest request = MakeRequest("combine-two");
+    // Warm the engine (universe + leaves) before attaching, so the pure
+    // read below needs nothing but its epoch pin and the probe caches.
+    auto reference = session.Enumerate(request);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    ASSERT_TRUE(session.AttachStorage(dir, options).ok());
+    env.Arm();
+
+    // Writer thread: one durable mutate, parked inside the WAL fsync while
+    // it holds the session's storage lock.
+    Status committed;
+    std::thread writer([&] {
+      committed = [&]() -> Status {
+        HYPRE_RETURN_NOT_OK(session.mutable_db()
+                                ->GetTable("dblp_author")
+                                ->Append({reldb::Value::Int(2),
+                                          reldb::Value::Int(3)}));
+        return session.CommitJournal();
+      }();
+    });
+    // Release the hostage and join on every exit path, so a read that
+    // does wait fails this test by its timeout instead of hanging it.
+    struct Cleanup {
+      BlockingSyncEnv* env;
+      std::thread* writer;
+      ~Cleanup() {
+        env->Release();
+        if (writer->joinable()) writer->join();
+      }
+    } cleanup{&env, &writer};
+    ASSERT_TRUE(env.WaitUntilBlocked(std::chrono::seconds(5)))
+        << "the writer never reached the WAL fsync";
+
+    api::EnumerationRequest pure = request;
+    pure.refresh = false;
+    auto read = std::async(std::launch::async,
+                           [&] { return session.Enumerate(pure); });
+    std::future_status waited = read.wait_for(std::chrono::seconds(5));
+    // A blocked read only finishes once the fsync does; release it before
+    // the future's destructor waits on it.
+    if (waited != std::future_status::ready) env.Release();
+    ASSERT_EQ(waited, std::future_status::ready)
+        << "a refresh=false read waited on the writer's WAL fsync";
+    auto result = read.get();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    // The read pinned the pre-mutation epoch: same records as before.
+    ExpectSameRecords(*result, *reference, "pure read during fsync");
+
+    env.Release();
+    writer.join();
+    ASSERT_TRUE(committed.ok()) << committed.ToString();
+    committed_seq = session.db()->journal().sequence();
+  }
+
+  // The group commit made the append durable: the directory reopens at the
+  // committed sequence, WAL tail replayed.
   auto reopened = api::Session::OpenFromSnapshot(dir);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  EXPECT_EQ((*reopened)->db()->journal().sequence(), base + 3);
+  EXPECT_EQ((*reopened)->db()->journal().sequence(), committed_seq);
 }
 
 }  // namespace

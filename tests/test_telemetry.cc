@@ -3,26 +3,21 @@
 // Prometheus text golden), and the end-to-end guarantees the subsystem
 // makes to the engine:
 //  * tracing a request changes NOTHING about its results or ProbeStats;
-//  * one mutate + refresh + enumerate round-trip produces spans from at
+//  * one mutate + commit + enumerate round-trip produces spans from at
 //    least four layers (api, prober, delta, storage);
-//  * the background auto-checkpoint never blocks the request path;
 //  * TaskPool's scheduler counters actually see skewed work (steals/parks).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "hypre/api/session.h"
 #include "hypre/parallel/task_pool.h"
-#include "hypre/storage/env.h"
-#include "hypre/storage/store.h"
 #include "hypre/telemetry/registry.h"
 #include "hypre/telemetry/trace.h"
 #include "test_fixtures.h"
@@ -372,139 +367,40 @@ TEST_F(TelemetrySessionTest, TracedRequestMatchesUntracedResults) {
 TEST_F(TelemetrySessionTest, MutateRefreshEnumerateTracesFourLayers) {
 #if HYPRE_TELEMETRY_ENABLED
   std::string dir = MakeTempDir("trace_layers");
-  storage::StorageOptions options;
-  options.auto_checkpoint_mutations = 1;
   api::Session session(MakeDb());
   api::EnumerationRequest request = MakeRequest("combine-two");
   ASSERT_TRUE(session.Enumerate(request).ok());
-  ASSERT_TRUE(session.AttachStorage(dir, options).ok());
+  ASSERT_TRUE(session.AttachStorage(dir).ok());
 
-  // One mutation crosses the threshold; the traced request then commits
-  // the WAL + queues the snapshot (storage), drains the journal (delta),
-  // and probes (prober) under the api root span.
-  reldb::Table* da = session.mutable_db()->GetTable("dblp_author");
-  ASSERT_TRUE(da->Append({reldb::Value::Int(2), reldb::Value::Int(3)}).ok());
-  request.trace = true;
-  auto traced = session.Enumerate(request);
-  ASSERT_TRUE(traced.ok()) << traced.status().ToString();
+  // One durable mutate round-trip under one trace, with no root span of
+  // the test's own: the group commit spills and fsyncs the WAL (storage),
+  // and the enumerate drains the journal (delta) and probes (prober) under
+  // its api spans.
+  Trace trace;
+  {
+    ScopedTraceTarget target(&trace);
+    reldb::Table* da = session.mutable_db()->GetTable("dblp_author");
+    ASSERT_TRUE(da->Append({reldb::Value::Int(2), reldb::Value::Int(3)}).ok());
+    ASSERT_TRUE(session.CommitJournal().ok());
+    auto result = session.Enumerate(request);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+  }
 
-  const Trace& trace = traced->trace;
   ASSERT_FALSE(trace.empty());
   EXPECT_TRUE(trace.HasLayer("api")) << trace.ToJson();
   EXPECT_TRUE(trace.HasLayer("prober")) << trace.ToJson();
   EXPECT_TRUE(trace.HasLayer("delta")) << trace.ToJson();
   EXPECT_TRUE(trace.HasLayer("storage")) << trace.ToJson();
+  std::vector<std::string> storage_spans;
+  for (const auto& span : trace.spans()) {
+    if (std::string(span.layer) == "storage") storage_spans.push_back(span.name);
+  }
+  EXPECT_EQ(storage_spans,
+            (std::vector<std::string>{"wal_commit", "wal_fsync"}))
+      << trace.ToJson();
 #else
   GTEST_SKIP() << "telemetry compiled out";
 #endif
-}
-
-// Env wrapper that can hold the snapshot's temp-file creation hostage —
-// proving the request path returns while the snapshot write is in flight.
-class BlockingEnv : public storage::Env {
- public:
-  explicit BlockingEnv(Env* base) : base_(base) {}
-
-  void Arm() { armed_.store(true); }
-  void Release() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      released_ = true;
-    }
-    cv_.notify_all();
-  }
-  bool IsBlocked() {
-    std::lock_guard<std::mutex> lock(mu_);
-    return blocked_;
-  }
-
-  Result<std::unique_ptr<storage::WritableFile>> NewWritableFile(
-      const std::string& path, bool truncate) override {
-    if (armed_.load() && path.find("snapshot.hypre.tmp") != std::string::npos) {
-      std::unique_lock<std::mutex> lock(mu_);
-      blocked_ = true;
-      cv_.wait(lock, [&] { return released_; });
-      blocked_ = false;
-    }
-    return base_->NewWritableFile(path, truncate);
-  }
-  Result<std::string> ReadFileToString(const std::string& path) override {
-    return base_->ReadFileToString(path);
-  }
-  Status RenameFile(const std::string& from, const std::string& to) override {
-    return base_->RenameFile(from, to);
-  }
-  Status RemoveFile(const std::string& path) override {
-    return base_->RemoveFile(path);
-  }
-  bool FileExists(const std::string& path) override {
-    return base_->FileExists(path);
-  }
-  Result<uint64_t> FileSize(const std::string& path) override {
-    return base_->FileSize(path);
-  }
-  Status CreateDirIfMissing(const std::string& path) override {
-    return base_->CreateDirIfMissing(path);
-  }
-  Status TruncateFile(const std::string& path, uint64_t size) override {
-    return base_->TruncateFile(path, size);
-  }
-
- private:
-  Env* base_;
-  std::atomic<bool> armed_{false};
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool blocked_ = false;
-  bool released_ = false;
-};
-
-TEST_F(TelemetrySessionTest, BackgroundCheckpointDoesNotBlockRequests) {
-  std::string dir = MakeTempDir("bg_ckpt");
-  BlockingEnv env(storage::Env::Default());
-  storage::StorageOptions options;
-  options.env = &env;
-  options.auto_checkpoint_mutations = 1;
-
-  uint64_t final_seq = 0;
-  {
-    api::Session session(MakeDb());
-    api::EnumerationRequest request = MakeRequest("combine-two");
-    ASSERT_TRUE(session.Enumerate(request).ok());
-    // The initial checkpoint is synchronous; arm the gate only afterwards.
-    ASSERT_TRUE(session.AttachStorage(dir, options).ok());
-    env.Arm();
-
-    reldb::Table* da = session.mutable_db()->GetTable("dblp_author");
-    ASSERT_TRUE(
-        da->Append({reldb::Value::Int(2), reldb::Value::Int(3)}).ok());
-    // This request queues the snapshot write and MUST return while the
-    // worker is stuck in the blocked env.
-    ASSERT_TRUE(session.Enumerate(request).ok());
-    EXPECT_TRUE(session.checkpoint_in_flight());
-
-    // The request path stays fully serviceable while the write is hostage —
-    // including further mutations (their checkpoint is skipped, not waited
-    // on, while one is in flight).
-    ASSERT_TRUE(
-        da->Append({reldb::Value::Int(5), reldb::Value::Int(1)}).ok());
-    ASSERT_TRUE(session.Enumerate(request).ok());
-    EXPECT_TRUE(session.checkpoint_in_flight());
-
-    env.Release();
-    while (session.checkpoint_in_flight()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    // An explicit snapshot drains + retires the background one and covers
-    // the second mutation synchronously.
-    ASSERT_TRUE(session.SaveSnapshot().ok());
-    final_seq = session.store()->snapshot_sequence();
-    EXPECT_EQ(final_seq, session.db()->journal().sequence());
-  }
-
-  auto reopened = api::Session::OpenFromSnapshot(dir);
-  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  EXPECT_EQ((*reopened)->db()->journal().sequence(), final_seq);
 }
 
 // --- TaskPool scheduler counters --------------------------------------------
